@@ -8,7 +8,6 @@ closed-form probability expressions and from a generic density-matrix route,
 which must agree.
 """
 
-from ._backend import BACKEND
 from .measures import (
     ConcurrenceTriangle,
     MeasureReport,
@@ -35,7 +34,6 @@ from .tristate import TripartiteState, density, make_state
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ConcurrenceTriangle",
     "ExtremumRecord",
     "FlavorAmplitudes",

@@ -1,111 +1,13 @@
-"""Numerical backend for the small Hermitian eigenproblems.
-
-The hot kernel is a cyclic Jacobi eigensolver for real symmetric matrices
-(complex Hermitian inputs are real-ified to twice the dimension).  By default
-the kernel is compiled with numba; set the environment variable
-``TRINU_NUMBA=0`` to force the pure-numpy fallback.  Both paths run the same
-source, so results are identical up to floating-point reassociation done by
-the compiler (none, in practice, for this kernel).
-"""
-
-import os
+"""Numerical backend for the small Hermitian eigenproblems: LAPACK via numpy."""
 
 import numpy as np
 
-#: Off-diagonal Frobenius-norm threshold at which the sweep loop stops.
-JACOBI_TOL = 1e-13
 
-#: Hard cap on the number of cyclic sweeps.
-JACOBI_MAX_SWEEPS = 100
+def eigvalsh_small(h):
+    """Ascending eigenvalues of a complex Hermitian matrix or a stack of them.
 
-
-def _jacobi_sweeps(a):
-    """Diagonalize a real symmetric matrix in place by cyclic Jacobi rotations.
-
-    Returns the matrix with eigenvalues on the diagonal (unsorted).
+    ``h`` has shape (..., n, n); the result has shape (..., n).  Any
+    sub-tolerance Hermiticity defect of the input is symmetrized away first.
     """
-    n = a.shape[0]
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if np.sqrt(2.0 * off) < JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if np.abs(apq) < 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-    return a
-
-
-def _env_enabled():
-    return os.environ.get("TRINU_NUMBA", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
-jacobi_sweeps_numpy = _jacobi_sweeps
-
-if _env_enabled():
-    try:
-        from numba import njit
-
-        jacobi_sweeps = njit(cache=True)(_jacobi_sweeps)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        jacobi_sweeps = _jacobi_sweeps
-        BACKEND = "numpy"
-else:
-    jacobi_sweeps = _jacobi_sweeps
-    BACKEND = "numpy"
-
-
-def _realify(h):
-    """Embed a complex Hermitian matrix as a real symmetric one of twice the size.
-
-    Each eigenvalue of ``h`` appears twice in the embedding.
-    """
-    n = h.shape[0]
-    a = np.asarray(h.real, dtype=np.float64)
-    b = np.asarray(h.imag, dtype=np.float64)
-    m = np.empty((2 * n, 2 * n), dtype=np.float64)
-    m[:n, :n] = a
-    m[n:, n:] = a
-    m[:n, n:] = -b
-    m[n:, :n] = b
-    # symmetrize away any sub-tolerance Hermiticity defect of the input
-    return np.ascontiguousarray(0.5 * (m + m.T))
-
-
-def eigvalsh_small(h, kernel=None):
-    """Ascending eigenvalues of a complex Hermitian matrix via cyclic Jacobi.
-
-    ``kernel`` may be one of ``jacobi_sweeps`` / ``jacobi_sweeps_numpy`` to
-    pin a backend explicitly (used by the benchmark); by default the backend
-    selected at import time is used.
-    """
-    if kernel is None:
-        kernel = jacobi_sweeps
     h = np.asarray(h, dtype=np.complex128)
-    m = kernel(_realify(h))
-    w = np.sort(np.diag(m).copy())
-    return w[::2].copy()
+    return np.linalg.eigvalsh(0.5 * (h + np.swapaxes(h, -1, -2).conj()))

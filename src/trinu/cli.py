@@ -37,8 +37,6 @@ def _add_sweep_flags(parser, with_grid=True):
         parser.add_argument("--le-max", type=float, default=None)
         parser.add_argument("--points", type=int, default=None)
         parser.add_argument("--scale", choices=sweep.SCALES, default=None)
-        parser.add_argument("--workers", type=int, default=None,
-                            help="worker processes for the generic route")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="output file (default: stdout)")
 
@@ -100,7 +98,6 @@ def _config_from_args(args, with_grid=True):
             "le_max": getattr(args, "le_max", None),
             "points": getattr(args, "points", None),
             "scale": getattr(args, "scale", None),
-            "workers": getattr(args, "workers", None),
         })
     for name, value in overrides.items():
         if value is not None:

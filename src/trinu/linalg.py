@@ -1,8 +1,9 @@
 """Dense complex linear algebra for matrices up to 8x8.
 
-Everything here operates on plain ``numpy`` arrays.  The three-qubit index
-convention is fixed once and for all: qubit A is the most significant bit of
-the 3-bit basis index, so ``|100>`` sits at index 4.
+Everything here operates on plain ``numpy`` arrays and broadcasts over
+leading axes, so a stack of matrices is handled in one call.  The
+three-qubit index convention is fixed once and for all: qubit A is the most
+significant bit of the 3-bit basis index, so ``|100>`` sits at index 4.
 """
 
 import numpy as np
@@ -19,18 +20,23 @@ QUBITS = "ABC"
 
 
 def hermiticity_defect(m):
-    """Largest absolute deviation of ``m`` from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Largest absolute deviation of ``m`` from its conjugate transpose.
+
+    For a stack of shape (..., n, n) this is the largest over the stack.
+    """
+    m = np.asarray(m)
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
 def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
-    """All eigenvalues of a Hermitian matrix, ascending.
+    """All eigenvalues of a Hermitian matrix, ascending, shape (..., n).
 
-    Raises ``ValueError`` if the input deviates from Hermiticity by more
-    than ``tol``.
+    ``m`` is one (n, n) matrix or a stack of shape (..., n, n); a stack is
+    solved in one batched call.  Raises ``ValueError`` if any input deviates
+    from Hermiticity by more than ``tol``.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if defect > tol:
@@ -46,16 +52,6 @@ def trace_of_square(m):
     return float(np.sum(np.abs(m) ** 2))
 
 
-def is_density_matrix(rho, trace_tol=1e-10, psd_tol=PSD_TOL):
-    """True if ``rho`` is Hermitian, unit trace and PSD within tolerance."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if hermiticity_defect(rho) > HERMITICITY_TOL:
-        return False
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        return False
-    return float(hermitian_eigenvalues(rho)[0]) >= -psd_tol
-
-
 def _qubit_axes(keep):
     keep = "".join(sorted(set(keep.upper())))
     if not keep or any(q not in QUBITS for q in keep):
@@ -66,39 +62,37 @@ def _qubit_axes(keep):
 
 
 def partial_trace(rho, keep):
-    """Trace an 8x8 three-qubit density matrix down to the qubits in ``keep``.
+    """Trace 8x8 three-qubit density matrices down to the qubits in ``keep``.
 
-    ``keep`` is a string naming one or two of "A", "B", "C".  Qubit A is the
-    most significant bit of the basis index.
+    ``rho`` is one 8x8 matrix or a stack of shape (..., 8, 8).  ``keep`` is
+    a string naming one or two of "A", "B", "C".  Qubit A is the most
+    significant bit of the basis index.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (8, 8):
+    if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
     if hermiticity_defect(rho) > HERMITICITY_TOL:
         raise ValueError("partial_trace input is not Hermitian within tolerance")
     kept = _qubit_axes(keep)
-    traced = [ax for ax in range(3) if ax not in kept]
-    t = rho.reshape((2,) * 6)
-    for ax in reversed(traced):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+    ket = "abc"
+    bra = "".join(q.upper() if i in kept else q for i, q in enumerate(ket))
+    out = "".join(ket[i] for i in kept) + "".join(bra[i] for i in kept)
+    t = np.einsum(f"...{ket}{bra}->...{out}", rho.reshape(rho.shape[:-2] + (2,) * 6))
     d = 2 ** len(kept)
-    return t.reshape(d, d)
+    return t.reshape(rho.shape[:-2] + (d, d))
 
 
 def partial_transpose(rho, on=0):
-    """Transpose one qubit of a two-qubit (4x4) matrix.
+    """Transpose one qubit of a two-qubit (4x4) matrix or of a (..., 4, 4) stack.
 
     ``on`` selects the qubit: 0 for the first (most significant bit), 1 for
     the second.  Pure index permutation, so applying it twice is bit-exact.
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     if on not in (0, 1):
         raise ValueError("on must be 0 (first qubit) or 1 (second qubit)")
-    t = rho.reshape(2, 2, 2, 2)
-    if on == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(4, 4).copy()
+    t = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    t = np.swapaxes(t, -4, -2) if on == 0 else np.swapaxes(t, -3, -1)
+    return t.reshape(rho.shape).copy()

@@ -3,7 +3,8 @@
 Every measure is available along two independent routes:
 
 * a *generic* route that works on the 8x8 density matrix through partial
-  traces, partial transposes and Hermitian eigensolves, and
+  traces, partial transposes and Hermitian eigensolves, batched over stacks
+  of states, and
 * a *closed-form* route expressed directly in the three oscillation
   probabilities.
 
@@ -41,6 +42,8 @@ class ConcurrenceTriangle:
     edge_c: float
 
     def __post_init__(self):
+        # the rules of check_triangles, on plain floats: this runs once per
+        # scalar query, where numpy calls on a 3-vector cost 5x more
         edges = self.edges()
         for e in edges:
             if not -1e-10 <= e <= 1.0 + 1e-10:
@@ -89,6 +92,26 @@ class MeasureReport:
 def _snap(x):
     x = np.where(np.abs(x) < VALUE_SNAP, 0.0, x)
     return np.maximum(x, 0.0)
+
+
+def check_triangles(edges):
+    """Raise ``ValueError`` unless every row of ``edges`` (..., 3) is a triangle.
+
+    Each edge must lie in [0, 1] and none may exceed the sum of the other
+    two, both within 1e-10.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    bad = ~((edges >= -1e-10) & (edges <= 1.0 + 1e-10))
+    if np.any(bad):
+        raise ValueError(f"triangle edge {edges[bad][0]!r} outside [0, 1]")
+    total = edges.sum(axis=-1, keepdims=True)
+    bad = edges > total - edges + 1e-10
+    if np.any(bad):
+        row = np.nonzero(bad.any(axis=-1))
+        raise ValueError(
+            f"edge {edges[bad][0]!r} violates the triangle inequality against "
+            f"{tuple(edges[row][0].tolist())}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +174,8 @@ def fill_from_probs(p):
 def heron_fill(edges):
     """Concurrence fill from triangle edges: [16/3 Q prod(Q - edge)]^(1/4).
 
+    ``edges`` has shape (..., 3); the result has shape (...).
+
     Evaluated through Kahan's rearrangement of Heron's formula (edges sorted,
     16 A^2 = (a+(b+c)) (c-(a-b)) (c+(a-b)) (a+(b-c)) with a >= b >= c), which
     keeps the relative error small even for needle-like triangles.  The one
@@ -178,66 +203,104 @@ def measures_from_probs(p):
 
 
 # ---------------------------------------------------------------------------
-# generic route: density-matrix reductions and eigensolves.
+# generic route: density-matrix reductions and eigensolves, batched over
+# stacks of states.
 # ---------------------------------------------------------------------------
 
-def one_to_other_concurrences(state):
-    """Concurrence triangle of a pure state via single-qubit reductions.
+#: States per batch of the generic route; bounds its working memory.
+GENERIC_CHUNK = 256
 
-    The edge 2[1 - Tr(rho_X^2)] is evaluated as 4 det(rho_X), which is the
-    same quantity for a unit-trace 2x2 matrix but free of the cancellation
-    that 1 - Tr(rho^2) suffers near product states.
+
+def negativity(rho, on=0):
+    """Trace-norm deficit ||rho^T||_1 - 1 of a two-qubit partial transpose.
+
+    ``rho`` is one 4x4 density matrix, giving a float, or a (..., 4, 4)
+    stack, giving an array of shape (...).
     """
-    rho = tristate.density(state)
-    edges = []
-    for q in linalg.QUBITS:
-        red = linalg.partial_trace(rho, q)
-        det = (red[0, 0] * red[1, 1] - red[0, 1] * red[1, 0]).real
-        edges.append(float(_snap(4.0 * det)))
-    return ConcurrenceTriangle(*edges)
+    rho = np.asarray(rho, dtype=np.complex128)
+    w = linalg.hermitian_eigenvalues(rho)
+    if np.any(w[..., 0] < -linalg.PSD_TOL):
+        raise ValueError(
+            f"negativity input is not PSD: min eigenvalue {w[..., 0].min():.3e}"
+        )
+    wt = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho, on))
+    n = _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
+    return float(n) if n.ndim == 0 else n
+
+
+def _generic_chunk(amps):
+    rho = tristate.density(amps)
+    singles = np.stack([linalg.partial_trace(rho, q) for q in linalg.QUBITS], axis=-3)
+    # the edge 2[1 - Tr(rho_X^2)] as 4 det(rho_X): the same quantity for a
+    # unit-trace 2x2 matrix, but free of the cancellation that 1 - Tr(rho^2)
+    # suffers near product states
+    det = (singles[..., 0, 0] * singles[..., 1, 1]
+           - singles[..., 0, 1] * singles[..., 1, 0]).real
+    edges = _snap(4.0 * det)
+    check_triangles(edges)
+    lam = linalg.hermitian_eigenvalues(singles)[..., -1].max(axis=-1)
+    pairs = np.stack([linalg.partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
+                     axis=-3)
+    n_ab, n_ac, n_bc = np.moveaxis(negativity(pairs) ** 2, -1, 0)
+    pi_a = edges[..., 0] - n_ab - n_ac
+    pi_b = edges[..., 1] - n_ab - n_bc
+    pi_c = edges[..., 2] - n_ac - n_bc
+    values = np.stack([
+        _snap(1.0 - lam),
+        _snap((pi_a + pi_b + pi_c) / 3.0),
+        _snap(edges.min(axis=-1)),
+        heron_fill(edges),
+    ], axis=-1)
+    return values, edges
+
+
+def generic_measures(amps):
+    """All four measures and the concurrence triangle along the generic route.
+
+    ``amps`` holds W-class amplitudes (a_e, a_mu, a_tau) on the rows of an
+    (n, 3) array.  Returns (ggm, three_pi, gmc, fill) as an (n, 4) array and
+    the triangle edges as an (n, 3) array.  The states are processed in
+    batches of ``GENERIC_CHUNK``: per batch, one stack of density matrices,
+    its partial traces and transposes, and one batched eigensolve per kind
+    of reduction.
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] != 3:
+        raise ValueError(f"expected amplitudes of shape (n, 3), got {amps.shape}")
+    parts = [_generic_chunk(amps[i:i + GENERIC_CHUNK])
+             for i in range(0, len(amps), GENERIC_CHUNK)]
+    return (np.concatenate([v for v, _ in parts]),
+            np.concatenate([e for _, e in parts]))
+
+
+def _state_measures(state):
+    values, edges = generic_measures([state.amplitudes()])
+    return values[0].tolist(), ConcurrenceTriangle(*edges[0].tolist())
+
+
+def one_to_other_concurrences(state):
+    """Concurrence triangle of a pure state via single-qubit reductions."""
+    return _state_measures(state)[1]
 
 
 def ggm(state):
     """1 minus the largest eigenvalue among the three one-qubit reductions."""
-    rho = tristate.density(state)
-    lam = max(
-        linalg.hermitian_eigenvalues(linalg.partial_trace(rho, q))[-1]
-        for q in linalg.QUBITS
-    )
-    return float(_snap(1.0 - lam))
-
-
-def negativity(rho, on=0):
-    """Trace-norm deficit ||rho^T||_1 - 1 of a two-qubit partial transpose."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    w = linalg.hermitian_eigenvalues(rho)
-    if w[0] < -linalg.PSD_TOL:
-        raise ValueError(f"negativity input is not PSD: min eigenvalue {w[0]:.3e}")
-    wt = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho, on))
-    return float(_snap(-2.0 * wt[wt < 0.0].sum()))
+    return _state_measures(state)[0][0]
 
 
 def three_pi(state):
     """Average of the three residual entanglements pi_A, pi_B, pi_C."""
-    rho = tristate.density(state)
-    n_sq = {}
-    for pair in ("AB", "AC", "BC"):
-        n_sq[pair] = negativity(linalg.partial_trace(rho, pair)) ** 2
-    tri = one_to_other_concurrences(state)
-    pi_a = tri.edge_a - n_sq["AB"] - n_sq["AC"]
-    pi_b = tri.edge_b - n_sq["AB"] - n_sq["BC"]
-    pi_c = tri.edge_c - n_sq["AC"] - n_sq["BC"]
-    return float(_snap((pi_a + pi_b + pi_c) / 3.0))
+    return _state_measures(state)[0][1]
 
 
 def gmc(state):
     """Shortest edge of the concurrence triangle (squared convention)."""
-    return float(_snap(one_to_other_concurrences(state).shortest_edge))
+    return _state_measures(state)[0][2]
 
 
 def concurrence_fill(state):
     """Concurrence fill via Heron's formula on the generic triangle edges."""
-    return one_to_other_concurrences(state).sqrt_area
+    return _state_measures(state)[0][3]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +323,5 @@ def report(params, initial, le, path="closed-form", u=None):
             float(gmc_from_probs(p)), float(fill_from_probs(p)),
         )
     else:
-        state = tristate.make_state(amplitudes(params, initial, le, u=u))
-        tri = one_to_other_concurrences(state)
-        vals = (ggm(state), three_pi(state), gmc(state), concurrence_fill(state))
+        vals, tri = _state_measures(tristate.make_state(amplitudes(params, initial, le, u=u)))
     return MeasureReport(float(le), probs, *vals, triangle=tri, path=path)

@@ -49,6 +49,10 @@ class OscillationParams:
                 raise ValueError(f"{name} must lie in [0, 90) degrees, got {angle}")
         if not math.isfinite(self.delta_cp):
             raise ValueError("delta_cp must be finite")
+        for name in ("dm2_21", "dm2_31", "dm2_32"):
+            # negative splittings are physical (inverted ordering)
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         gap = abs(self.dm2_31 - (self.dm2_21 + self.dm2_32))
         if gap > SPLITTING_TOL:
             warnings.warn(
@@ -109,15 +113,36 @@ class ProbabilityTriple:
 
     @classmethod
     def from_raw(cls, p_e, p_mu, p_tau, tol=1e-12):
+        # the rules of checked_probabilities, on plain floats: this runs once
+        # per scalar query, where numpy calls on a 3-vector cost 5x more
         vals = []
         for p in (p_e, p_mu, p_tau):
-            if p < -tol or p > 1.0 + tol:
+            if not -tol <= p <= 1.0 + tol:
                 raise ValueError(f"probability {p!r} outside [0, 1] beyond tolerance")
             vals.append(min(max(p, 0.0), 1.0))
         total = sum(vals)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         return cls(*vals)
+
+
+def checked_probabilities(p, tol=1e-12):
+    """Validate probabilities (..., 3) and clamp them to [0, 1].
+
+    Every entry must lie in [0, 1] within ``tol`` and every row must sum to 1
+    within 1e-10; otherwise ``ValueError`` names the first offending value.
+    NaN fails both checks.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p >= -tol) & (p <= 1.0 + tol))
+    if np.any(bad):
+        raise ValueError(f"probability {p[bad][0]!r} outside [0, 1] beyond tolerance")
+    p = np.clip(p, 0.0, 1.0)
+    total = p.sum(axis=-1)
+    bad = ~(np.abs(total - 1.0) <= 1e-10)
+    if np.any(bad):
+        raise ValueError(f"probabilities sum to {total[bad][0]!r}, expected 1")
+    return p
 
 
 def _flavor_index(flavor):
@@ -143,24 +168,35 @@ def build_pmns(params):
     ], dtype=np.complex128)
 
 
-def _mass_phases(params, le):
-    # phases relative to mass state 1; only splittings are observable
-    return np.array([
-        0.0,
-        2.0 * PHASE_CONST * params.dm2_21 * le,
-        2.0 * PHASE_CONST * params.dm2_31 * le,
-    ])
+def _checked_le(le):
+    le = np.asarray(le, dtype=np.float64)
+    bad = ~((le >= 0.0) & (le < np.inf))
+    if np.any(bad):
+        raise ValueError(f"L/E must be finite and non-negative, got {le[bad][0]} km/GeV")
+    return le
 
 
-def amplitudes(params, initial, le, u=None):
-    """Evolved flavor amplitudes a_beta = sum_k U_ak exp(-i phi_k) U*_bk."""
-    if le < 0:
-        raise ValueError(f"le must be non-negative, got {le}")
+def amplitude_array(params, initial, le, u=None):
+    """Evolved flavor amplitudes a_beta = sum_k U_ak exp(-i phi_k) U*_bk.
+
+    ``le`` is a scalar or an array of L/E values (km/GeV); the result has
+    shape ``le.shape + (3,)`` over (e, mu, tau).
+    """
+    le = _checked_le(le)
     a = _flavor_index(initial)
     if u is None:
         u = build_pmns(params)
-    phases = np.exp(-1j * _mass_phases(params, le))
-    a_b = (u[a] * phases) @ u.conj().T
+    # phases relative to mass state 1; only splittings are observable
+    rates = 2.0 * PHASE_CONST * np.array([0.0, params.dm2_21, params.dm2_31])
+    phases = np.exp(-1j * (le[..., None] * rates))
+    # einsum rather than matmul: a batched BLAS product would round rows
+    # differently from the same product taken one point at a time
+    return np.einsum("...k,kb->...b", u[a] * phases, u.conj().T)
+
+
+def amplitudes(params, initial, le, u=None):
+    """FlavorAmplitudes at a single L/E point (km/GeV)."""
+    a_b = amplitude_array(params, initial, float(le), u=u)
     return FlavorAmplitudes(initial, float(le), a_b[0], a_b[1], a_b[2])
 
 
@@ -179,9 +215,7 @@ def probability_array(params, initial, le, u=None):
     real-part sin^2 series plus the imaginary-part sin series), not through
     |amplitudes|^2; the two must agree, which the tests exercise.
     """
-    le = np.asarray(le, dtype=np.float64)
-    if np.any(le < 0):
-        raise ValueError("le must be non-negative")
+    le = _checked_le(le)
     a = _flavor_index(initial)
     if u is None:
         u = build_pmns(params)

@@ -8,7 +8,6 @@ same configuration are byte-identical.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -49,7 +48,6 @@ class SweepConfig:
     path: str = "closed-form"
     params_file: str | None = None
     output: str | None = None
-    workers: int = 1
 
     def validate(self):
         if self.initial not in INITIALS:
@@ -68,8 +66,6 @@ class SweepConfig:
             raise ConfigError("le_min", "log scale requires le_min > 0")
         if not 2 <= self.points <= MAX_POINTS:
             raise ConfigError("points", f"must be in [2, {MAX_POINTS}], got {self.points}")
-        if self.workers < 1:
-            raise ConfigError("workers", f"must be >= 1, got {self.workers}")
         return self
 
     @classmethod
@@ -115,10 +111,6 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
 
-def _initial_flavor(initial):
-    return {"e": "e", "mu": "mu"}[initial]
-
-
 def _closed_form_table(params, initial, le):
     probs = oscillation.probability_array(params, initial, le)
     edges = measures.triangle_edges_from_probs(probs)
@@ -126,25 +118,13 @@ def _closed_form_table(params, initial, le):
     return np.column_stack([le, probs, vals, edges])
 
 
-def _generic_rows(args):
-    params, initial, le_chunk = args
+def _generic_table(params, initial, le):
     u = oscillation.build_pmns(params)
-    rows = np.empty((len(le_chunk), len(CSV_COLUMNS)))
-    for i, le in enumerate(le_chunk):
-        rep = measures.report(params, initial, le, path="generic", u=u)
-        rows[i] = (le, *rep.probabilities.as_tuple(), *rep.measures(),
-                   *rep.triangle.edges())
-    return rows
-
-
-def _generic_table(params, initial, le, workers):
-    if workers <= 1 or len(le) < 4 * workers:
-        return _generic_rows((params, initial, le))
-    chunks = np.array_split(le, 4 * workers)
-    jobs = [(params, initial, chunk) for chunk in chunks if len(chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_generic_rows, jobs))
-    return np.concatenate(parts, axis=0)
+    probs = oscillation.checked_probabilities(
+        oscillation.probability_array(params, initial, le, u=u))
+    vals, edges = measures.generic_measures(
+        oscillation.amplitude_array(params, initial, le, u=u))
+    return np.column_stack([le, probs, vals, edges])
 
 
 def _grid_local_extrema(y):
@@ -166,12 +146,11 @@ def run_sweep(config, params=None):
     if params is None:
         params = config.load_params()
     le = config.grid()
-    initial = _initial_flavor(config.initial)
     closed = generic = None
     if config.path in ("closed-form", "both"):
-        closed = _closed_form_table(params, initial, le)
+        closed = _closed_form_table(params, config.initial, le)
     if config.path in ("generic", "both"):
-        generic = _generic_table(params, initial, le, config.workers)
+        generic = _generic_table(params, config.initial, le)
     table = closed if closed is not None else generic
     summary = {"points": int(config.points), "path": config.path}
     gmc_col = table[:, CSV_COLUMNS.index("gmc")]
@@ -182,7 +161,10 @@ def run_sweep(config, params=None):
     arg = edge_cols.argmin(axis=1)
     summary["gmc_kinks"] = int(np.sum(arg[1:] != arg[:-1]))
     fill_col = table[:, CSV_COLUMNS.index("fill")]
-    summary["min_fill_minus_gmc"] = float(np.min(fill_col - gmc_col))
+    margin = fill_col - gmc_col
+    worst = int(np.argmin(margin))
+    summary["min_fill_minus_gmc"] = float(margin[worst])
+    summary["min_fill_minus_gmc_le"] = float(le[worst])
     if config.path == "both":
         summary["max_path_discrepancy"] = float(np.max(np.abs(closed - generic)))
     return SweepResult(config, le, table,
@@ -233,6 +215,10 @@ def summary_lines(result):
         f"{result.summary['gmc_grid_local_minima']}/"
         f"{result.summary['gmc_grid_local_maxima']}"
         f"  kinks (shortest-edge switches): {result.summary['gmc_kinks']}"
+    )
+    lines.append(
+        f"min fill - gmc: {result.summary['min_fill_minus_gmc']:+.4g}"
+        f" at L/E {result.summary['min_fill_minus_gmc_le']:.6g} km/GeV"
     )
     if "max_path_discrepancy" in result.summary:
         lines.append(
@@ -293,7 +279,7 @@ def find_extremum(config, measure, kind, window, params=None):
     if params is None:
         params = config.load_params()
     path = "closed-form" if config.path == "both" else config.path
-    f = _measure_at(params, _initial_flavor(config.initial), path, measure)
+    f = _measure_at(params, config.initial, path, measure)
     sign = -1.0 if kind == "max" else 1.0
 
     grid = np.linspace(lo, hi, SCAN_POINTS)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .oscillation import FlavorAmplitudes
 
 #: Basis indices of (|100>, |010>, |001>).
@@ -55,11 +54,25 @@ def make_state(amps):
 
 
 def density(state):
-    """8x8 density matrix |psi><psi| of a TripartiteState."""
-    v = state.vector()
-    return np.outer(v, v.conj())
+    """Density matrix |psi><psi| of W-class states.
 
-
-def reduce(rho, keep):
-    """Reduced density matrix on the qubits named in ``keep`` ("A".."BC")."""
-    return linalg.partial_trace(rho, keep)
+    ``state`` is a TripartiteState, giving one 8x8 matrix, or an array of
+    amplitudes (a_e, a_mu, a_tau) on its last axis, giving a (..., 8, 8)
+    stack.  Every row must be normalized to within ``NORM_TOL``.
+    """
+    if isinstance(state, TripartiteState):
+        state = state.amplitudes()
+    amps = np.asarray(state, dtype=np.complex128)
+    if amps.shape[-1:] != (3,):
+        raise ValueError(
+            f"expected amplitudes on a last axis of length 3, got shape {amps.shape}"
+        )
+    norm = np.sum(np.abs(amps) ** 2, axis=-1)
+    bad = ~(np.abs(norm - 1.0) <= NORM_TOL)
+    if np.any(bad):
+        raise ValueError(
+            f"state norm^2 is {norm[bad].flat[0]!r}, expected 1 within {NORM_TOL}"
+        )
+    v = np.zeros(amps.shape[:-1] + (8,), dtype=np.complex128)
+    v[..., list(OCCUPATION_INDICES)] = amps
+    return v[..., :, None] * v[..., None, :].conj()

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from trinu import OscillationParams, TripartiteState
+
+# Property tests draw the same examples on every run and read or write no
+# example database, so the result does not depend on local state.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -177,14 +177,14 @@ def test_criterion_8_zero_point():
 
 
 def test_criterion_9_determinism():
-    def run_bytes(workers):
+    def run_bytes():
         cfg = SweepConfig(initial="mu", le_min=10.0, le_max=1600.0,
                           unit="km/GeV", points=101, scale="log",
-                          path="generic", workers=workers)
+                          path="generic")
         buf = io.StringIO()
         write_csv(run_sweep(cfg), buf)
         return buf.getvalue().encode()
 
-    first = run_bytes(1)
-    ok = all(run_bytes(w) == first for w in (1, 2, 3))
-    check("9 byte-identical CSV across repeats and worker counts", ok)
+    first = run_bytes()
+    ok = all(run_bytes() == first for _ in range(3))
+    check("9 byte-identical CSV across repeats", ok)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from trinu import linalg, make_state, density
-from trinu._backend import eigvalsh_small, jacobi_sweeps_numpy
 
 from conftest import random_hermitian
 
@@ -45,14 +44,20 @@ class TestHermitianEigenvalues:
                 linalg.hermitian_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-10
             )
 
-    def test_numpy_fallback_matches_numba(self, rng):
-        for dim in (2, 4, 8):
-            m = random_hermitian(rng, dim)
-            assert np.allclose(
-                eigvalsh_small(m),
-                eigvalsh_small(m, kernel=jacobi_sweeps_numpy),
-                atol=1e-12,
-            )
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_stack_matches_one_by_one(self, rng, dim):
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(12)])
+        stack = stack.reshape(3, 4, dim, dim)
+        w = linalg.hermitian_eigenvalues(stack)
+        assert w.shape == (3, 4, dim)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(w[idx], linalg.hermitian_eigenvalues(stack[idx]))
+
+    def test_stack_rejects_one_non_hermitian_member(self, rng):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="asymmetry"):
+            linalg.hermitian_eigenvalues(stack)
 
 
 class TestPartialTrace:
@@ -98,6 +103,23 @@ class TestPartialTrace:
             ) <= 1e-10
 
 
+    @pytest.mark.parametrize("keep", ["A", "B", "C", "AB", "AC", "BC"])
+    def test_stack_matches_one_by_one(self, rng, keep):
+        stack = np.stack([random_hermitian(rng, 8) for _ in range(6)]).reshape(2, 3, 8, 8)
+        red = linalg.partial_trace(stack, keep)
+        d = 2 ** len(keep)
+        assert red.shape == (2, 3, d, d)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(red[idx], linalg.partial_trace(stack[idx], keep))
+
+    def test_matches_sequential_traces(self, rng):
+        m = random_hermitian(rng, 8)
+        t = m.reshape((2,) * 6)
+        # trace C, then B: what is left is qubit A
+        expected = np.trace(np.trace(t, axis1=2, axis2=5), axis1=1, axis2=3)
+        assert np.allclose(linalg.partial_trace(m, "A"), expected, atol=1e-13)
+
+
 class TestPartialTranspose:
     def test_diagonal_invariant(self):
         d = np.diag([0.1, 0.2, 0.3, 0.4])
@@ -127,3 +149,11 @@ class TestPartialTranspose:
         rho[0, 0] = 1.0
         w = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
         assert w[0] >= -1e-12
+
+    @pytest.mark.parametrize("on", [0, 1])
+    def test_stack_matches_one_by_one(self, rng, on):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(6)]).reshape(3, 2, 4, 4)
+        pt = linalg.partial_transpose(stack, on)
+        assert pt.shape == stack.shape
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(pt[idx], linalg.partial_transpose(stack[idx], on))

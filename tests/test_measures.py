@@ -114,6 +114,22 @@ class TestNegativity:
         with pytest.raises(ValueError, match="PSD"):
             negativity(m)
 
+    def test_stack_matches_one_by_one(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=6)
+        rhos = np.stack([
+            linalg.partial_trace(density(state_from_probs(p, rng.uniform(0, 6, 3))), pair)
+            for p, pair in zip(probs, ("AB", "AC", "BC", "AB", "AC", "BC"))
+        ]).reshape(2, 3, 4, 4)
+        n = negativity(rhos)
+        assert n.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert n[idx] == negativity(rhos[idx])
+
+    def test_stack_rejects_one_non_psd_member(self):
+        rhos = np.stack([np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0])])
+        with pytest.raises(ValueError, match="PSD"):
+            negativity(rhos)
+
 
 class TestThreePi:
     def test_w_state(self):
@@ -151,9 +167,48 @@ class TestConcurrenceFill:
         val = concurrence_fill(state_from_probs((0.024, 0.488, 0.488)))
         assert val == pytest.approx(0.328648, abs=1e-6)
 
+    def test_heron_stack_matches_one_by_one(self, rng):
+        p = rng.dirichlet(np.ones(3), size=8)
+        edges = 4.0 * p * (1.0 - p)
+        stacked = heron_fill(edges)
+        assert stacked.shape == (8,)
+        for row, value in zip(edges, stacked):
+            # one row takes numpy's scalar power, a stack its array loop;
+            # the two may round the fourth root differently
+            np.testing.assert_array_max_ulp(heron_fill(row), value, maxulp=2)
+
     def test_degenerate_triangle_clamps_to_zero(self):
         assert heron_fill(np.array([0.5, 0.3, 0.8])) == 0.0
         assert heron_fill(np.array([0.5, 0.3, 0.8000001])) == 0.0
+
+
+class TestGenericMeasures:
+    def test_rows_equal_scalar_calls(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=20)
+        amps = np.sqrt(probs) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (20, 3)))
+        values, edges = measures.generic_measures(amps)
+        assert values.shape == (20, 4) and edges.shape == (20, 3)
+        for row, tri, a in zip(values, edges, amps):
+            state = make_state(tuple(a))
+            assert tuple(row) == (ggm(state), three_pi(state), gmc(state),
+                                  concurrence_fill(state))
+            assert tuple(tri) == one_to_other_concurrences(state).edges()
+
+    def test_rejects_unnormalized_row(self):
+        amps = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="norm"):
+            measures.generic_measures(amps)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            measures.generic_measures(np.ones(3))
+
+    def test_triangle_check_names_the_violation(self):
+        measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 1.0]]))
+        with pytest.raises(ValueError, match="triangle inequality"):
+            measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.9, 0.1, 0.1]]))
+        with pytest.raises(ValueError, match="outside"):
+            measures.check_triangles(np.array([0.2, np.nan, 0.4]))
 
 
 class TestClosedFormInvariants:

@@ -13,7 +13,13 @@ from trinu import (
     probabilities,
     probability_matrix,
 )
-from trinu.oscillation import FLAVORS, probability_array
+from trinu.oscillation import (
+    FLAVORS,
+    ProbabilityTriple,
+    amplitude_array,
+    checked_probabilities,
+    probability_array,
+)
 
 from conftest import physics_params
 
@@ -30,6 +36,18 @@ class TestParams:
     def test_rejects_bad_angles(self, field, value):
         with pytest.raises(ValueError):
             OscillationParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["dm2_21", "dm2_31", "dm2_32"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_splittings(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OscillationParams(**{field: value})
+
+    def test_accepts_inverted_ordering(self):
+        p = OscillationParams(dm2_21=7.5e-5, dm2_31=-2.382e-3, dm2_32=-2.457e-3,
+                              ordering="inverted")
+        assert p.dm2_31 < 0.0
+        assert sum(probabilities(p, "mu", 500.0).as_tuple()) == pytest.approx(1.0)
 
     def test_inconsistent_splittings_warn(self):
         with pytest.warns(UserWarning, match="inconsistent"):
@@ -93,6 +111,18 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             amplitudes(params, "e", -1.0)
 
+    @pytest.mark.parametrize("le", [float("nan"), float("inf")])
+    def test_rejects_non_finite_le(self, params, le):
+        with pytest.raises(ValueError, match="L/E must be finite and non-negative"):
+            amplitudes(params, "e", le)
+
+    def test_array_matches_scalar_calls(self, params):
+        le = np.geomspace(10.0, 1600.0, 51)
+        stack = amplitude_array(params, "mu", le)
+        assert stack.shape == (51, 3)
+        for row, x in zip(stack, le):
+            assert tuple(row) == amplitudes(params, "mu", x).as_tuple()
+
     @settings(max_examples=200, deadline=None)
     @given(physics_params(), st.floats(0.0, 2e4))
     def test_normalization(self, p, le):
@@ -116,6 +146,21 @@ class TestProbabilities:
         a = amplitudes(p, flavor, le)
         expected = [abs(x) ** 2 for x in a.as_tuple()]
         assert np.allclose(probs.as_tuple(), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("le", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_le(self, params, le):
+        with pytest.raises(ValueError, match="L/E must be finite and non-negative"):
+            probabilities(params, "e", le)
+        with pytest.raises(ValueError, match="L/E"):
+            probability_array(params, "e", np.array([1.0, le]))
+
+    def test_checked_probabilities_rejects_nan_and_bad_sums(self):
+        with pytest.raises(ValueError, match="outside"):
+            checked_probabilities(np.array([[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]]))
+        with pytest.raises(ValueError, match="sum"):
+            checked_probabilities(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.5]]))
+        with pytest.raises(ValueError, match="outside"):
+            ProbabilityTriple.from_raw(float("nan"), 0.5, 0.5)
 
     def test_row_and_column_sums(self, params):
         for le in (0.0, 123.4, 5678.0, 40000.0):

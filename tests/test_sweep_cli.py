@@ -5,13 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from trinu import SweepConfig, find_extremum, run_sweep, triangle_record
+from trinu import SweepConfig, find_extremum, measures, report, run_sweep, triangle_record
 from trinu.cli import load_preset, main
 from trinu.sweep import (
     CSV_COLUMNS,
     ConfigError,
     format_number,
     slope_table,
+    summary_lines,
     triangle_text,
     write_csv,
 )
@@ -40,7 +41,6 @@ class TestConfig:
         (dict(le_min=0.0, scale="log"), "le_min"),
         (dict(points=1), "points"),
         (dict(points=10 ** 7 + 1), "points"),
-        (dict(workers=0), "workers"),
     ])
     def test_field_specific_errors(self, kw, field):
         with pytest.raises(ConfigError) as err:
@@ -112,10 +112,41 @@ class TestRunSweep:
         ))
         assert result.summary["max_path_discrepancy"] <= 1e-10
 
-    def test_worker_count_does_not_change_bytes(self):
-        serial = run_sweep(small_config(path="generic", points=64))
-        pooled = run_sweep(small_config(path="generic", points=64, workers=2))
-        assert csv_bytes(serial) == csv_bytes(pooled)
+    def test_generic_rows_equal_scalar_reports(self, params):
+        result = run_sweep(small_config(
+            initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
+            scale="log", points=37, path="generic",
+        ))
+        for row in result.table:
+            rep = report(params, "mu", row[0], path="generic")
+            expected = (row[0], *rep.probabilities.as_tuple(), *rep.measures(),
+                        *rep.triangle.edges())
+            assert tuple(row) == expected
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunking_does_not_change_rows(self, monkeypatch, offset):
+        chunk = 8
+        cfg = small_config(initial="mu", le_min=10.0, le_max=1600.0,
+                           unit="km/GeV", scale="log", points=chunk + offset,
+                           path="generic")
+        whole = run_sweep(cfg).table
+        monkeypatch.setattr(measures, "GENERIC_CHUNK", chunk)
+        chunked = run_sweep(cfg).table
+        assert np.array_equal(chunked, whole)
+
+    def test_summary_reports_fill_gmc_margin(self):
+        result = run_sweep(small_config(
+            initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
+            scale="log", points=4001,
+        ))
+        column = {name: result.table[:, i] for i, name in enumerate(CSV_COLUMNS)}
+        margin = column["fill"] - column["gmc"]
+        assert result.summary["min_fill_minus_gmc"] == margin.min()
+        assert result.summary["min_fill_minus_gmc"] == pytest.approx(-0.0314, abs=5e-4)
+        assert result.summary["min_fill_minus_gmc_le"] == pytest.approx(457.0, abs=2.0)
+        lines = summary_lines(result)
+        assert any(line.startswith("min fill - gmc: -0.0314") and "L/E 457" in line
+                   for line in lines)
 
     def test_muon_kink_count(self):
         result = run_sweep(small_config(
@@ -248,6 +279,19 @@ class TestCli:
         assert code == 0
         rec = json.loads(out.read_text())
         assert rec["shortest_edge"] == pytest.approx(0.09, abs=0.02)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_triangle_rejects_bad_le(self, capsys, value):
+        assert main(["triangle", "--le", value]) == 2
+        err = capsys.readouterr().err
+        assert "L/E must be finite and non-negative" in err
+        assert "triangle edge" not in err
+
+    def test_nan_params_file_exit_code(self, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        pfile.write_text('{"dm2_21": NaN}')
+        assert main(["triangle", "--le", "4.61", "--params", str(pfile)]) == 2
+        assert "dm2_21 must be finite" in capsys.readouterr().err
 
     def test_triangle_unit_conversion(self, capsys):
         assert main(["triangle", "--initial", "e", "--le", "4.61",

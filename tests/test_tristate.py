@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 
 from trinu import OscillationParams, amplitudes, density, make_state
-from trinu.linalg import trace_of_square
-from trinu.tristate import OCCUPATION_INDICES, reduce
+from trinu.linalg import partial_trace, trace_of_square
+from trinu.tristate import OCCUPATION_INDICES
 
 from conftest import w_class_states
 
@@ -61,6 +61,19 @@ class TestDensity:
         mask[np.ix_(OCCUPATION_INDICES, OCCUPATION_INDICES)] = True
         assert np.all(rho[~mask] == 0)
 
+    def test_amplitude_stack_matches_states(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=(2, 5))
+        amps = np.sqrt(probs) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 5, 3)))
+        stack = density(amps)
+        assert stack.shape == (2, 5, 8, 8)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(stack[idx], density(make_state(tuple(amps[idx]))))
+
+    def test_amplitude_stack_rejects_unnormalized_row(self):
+        amps = np.array([[1.0, 0.0, 0.0], [0.6, 0.6, 0.0]])
+        with pytest.raises(ValueError, match="norm"):
+            density(amps)
+
     @settings(max_examples=100, deadline=None)
     @given(w_class_states())
     def test_pure_unit_trace(self, state):
@@ -75,7 +88,7 @@ class TestReductions:
     def test_single_qubit_reduction_is_diagonal(self, state):
         rho = density(state)
         for qubit, p in zip("ABC", state.probabilities()):
-            red = reduce(rho, qubit)
+            red = partial_trace(rho, qubit)
             assert np.allclose(red, np.diag([1.0 - p, p]), atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -83,5 +96,5 @@ class TestReductions:
     def test_reduction_purity_closed_form(self, state):
         rho = density(state)
         for qubit, p in zip("ABC", state.probabilities()):
-            purity = trace_of_square(reduce(rho, qubit))
+            purity = trace_of_square(partial_trace(rho, qubit))
             assert purity == pytest.approx(1.0 - 2.0 * p * (1.0 - p), abs=1e-12)
