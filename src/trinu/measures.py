@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, tristate
-from .oscillation import ProbabilityTriple, amplitudes, probabilities
+from .oscillation import (
+    ProbabilityTriple,
+    amplitude_array,
+    build_pmns,
+    checked_probabilities,
+    probability_array,
+)
 
 #: Probabilities below this are treated as exact zeros in the closed forms.
 PROB_SNAP = 1e-15
@@ -31,6 +37,13 @@ PROB_SNAP = 1e-15
 VALUE_SNAP = 1e-14
 
 MEASURE_NAMES = ("ggm", "three_pi", "gmc", "fill")
+
+#: Columns of a measure table, as ``table`` returns them and sweeps write them.
+CSV_COLUMNS = (
+    "le_km_per_GeV", "p_e", "p_mu", "p_tau",
+    "ggm", "three_pi", "gmc", "fill",
+    "edge_a", "edge_b", "edge_c",
+)
 
 
 @dataclass(frozen=True)
@@ -42,18 +55,7 @@ class ConcurrenceTriangle:
     edge_c: float
 
     def __post_init__(self):
-        # the rules of check_triangles, on plain floats: this runs once per
-        # scalar query, where numpy calls on a 3-vector cost 5x more
-        edges = self.edges()
-        for e in edges:
-            if not -1e-10 <= e <= 1.0 + 1e-10:
-                raise ValueError(f"triangle edge {e!r} outside [0, 1]")
-        total = sum(edges)
-        for e in edges:
-            if e > total - e + 1e-10:
-                raise ValueError(
-                    f"edge {e!r} violates the triangle inequality against {edges}"
-                )
+        check_triangles(self.edges())
 
     def edges(self):
         return (self.edge_a, self.edge_b, self.edge_c)
@@ -65,11 +67,6 @@ class ConcurrenceTriangle:
     @property
     def shortest_edge(self):
         return min(self.edges())
-
-    @property
-    def sqrt_area(self):
-        """Fourth root of (16/3) times the Heron product of the edges."""
-        return float(heron_fill(np.array(self.edges())))
 
 
 @dataclass(frozen=True)
@@ -100,17 +97,17 @@ def check_triangles(edges):
     Each edge must lie in [0, 1] and none may exceed the sum of the other
     two, both within 1e-10.
     """
-    edges = np.asarray(edges, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
     bad = ~((edges >= -1e-10) & (edges <= 1.0 + 1e-10))
     if np.any(bad):
-        raise ValueError(f"triangle edge {edges[bad][0]!r} outside [0, 1]")
+        raise ValueError(f"triangle edge {float(edges[bad][0])!r} outside [0, 1]")
     total = edges.sum(axis=-1, keepdims=True)
     bad = edges > total - edges + 1e-10
     if np.any(bad):
-        row = np.nonzero(bad.any(axis=-1))
+        row = int(np.nonzero(bad.any(axis=-1))[0][0])
         raise ValueError(
-            f"edge {edges[bad][0]!r} violates the triangle inequality against "
-            f"{tuple(edges[row][0].tolist())}"
+            f"edge {float(edges[bad][0])!r} violates the triangle inequality against "
+            f"{tuple(edges[row].tolist())}"
         )
 
 
@@ -304,24 +301,40 @@ def concurrence_fill(state):
 
 
 # ---------------------------------------------------------------------------
-# bundled evaluation.
+# the measure table: every query is rows of it.
 # ---------------------------------------------------------------------------
 
 PATHS = ("closed-form", "generic")
 
 
-def report(params, initial, le, path="closed-form", u=None):
-    """Probabilities plus all four measures at one L/E point (km/GeV)."""
+def table(params, initial, le, path="closed-form", u=None):
+    """Probabilities, the four measures and the triangle edges over an L/E array.
+
+    ``le`` is a 1-D array of L/E values (km/GeV).  Returns an (n, 11) array
+    whose columns are ``CSV_COLUMNS``.  The probabilities and the triangles
+    are validated on either route; ``u`` is an optional prebuilt mixing
+    matrix.
+    """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
-    probs = probabilities(params, initial, le, u=u)
+    if u is None:
+        u = build_pmns(params)
+    probs = checked_probabilities(probability_array(params, initial, le, u=u))
     if path == "closed-form":
-        p = np.array(probs.as_tuple())
-        tri = ConcurrenceTriangle(*triangle_edges_from_probs(p))
-        vals = (
-            float(ggm_from_probs(p)), float(three_pi_from_probs(p)),
-            float(gmc_from_probs(p)), float(fill_from_probs(p)),
-        )
+        edges = triangle_edges_from_probs(probs)
+        check_triangles(edges)
+        vals = measures_from_probs(probs)
     else:
-        vals, tri = _state_measures(tristate.make_state(amplitudes(params, initial, le, u=u)))
-    return MeasureReport(float(le), probs, *vals, triangle=tri, path=path)
+        vals, edges = generic_measures(amplitude_array(params, initial, le, u=u))
+    return np.column_stack([le, probs, vals, edges])
+
+
+def report(params, initial, le, path="closed-form", u=None):
+    """Probabilities plus all four measures at one L/E point (km/GeV).
+
+    This is the one row of ``table`` at ``le``, so it equals the matching
+    row of any sweep bit for bit.
+    """
+    row = table(params, initial, np.array([le], dtype=np.float64), path=path, u=u)[0].tolist()
+    return MeasureReport(row[0], ProbabilityTriple(*row[1:4]), *row[4:8],
+                         triangle=ConcurrenceTriangle(*row[8:]), path=path)

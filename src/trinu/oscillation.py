@@ -111,20 +111,6 @@ class ProbabilityTriple:
     def as_tuple(self):
         return (self.p_e, self.p_mu, self.p_tau)
 
-    @classmethod
-    def from_raw(cls, p_e, p_mu, p_tau, tol=1e-12):
-        # the rules of checked_probabilities, on plain floats: this runs once
-        # per scalar query, where numpy calls on a 3-vector cost 5x more
-        vals = []
-        for p in (p_e, p_mu, p_tau):
-            if not -tol <= p <= 1.0 + tol:
-                raise ValueError(f"probability {p!r} outside [0, 1] beyond tolerance")
-            vals.append(min(max(p, 0.0), 1.0))
-        total = sum(vals)
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        return cls(*vals)
-
 
 def checked_probabilities(p, tol=1e-12):
     """Validate probabilities (..., 3) and clamp them to [0, 1].
@@ -136,12 +122,12 @@ def checked_probabilities(p, tol=1e-12):
     p = np.asarray(p, dtype=np.float64)
     bad = ~((p >= -tol) & (p <= 1.0 + tol))
     if np.any(bad):
-        raise ValueError(f"probability {p[bad][0]!r} outside [0, 1] beyond tolerance")
+        raise ValueError(f"probability {float(p[bad][0])!r} outside [0, 1] beyond tolerance")
     p = np.clip(p, 0.0, 1.0)
     total = p.sum(axis=-1)
     bad = ~(np.abs(total - 1.0) <= 1e-10)
     if np.any(bad):
-        raise ValueError(f"probabilities sum to {total[bad][0]!r}, expected 1")
+        raise ValueError(f"probabilities sum to {float(total[bad][0])!r}, expected 1")
     return p
 
 
@@ -196,7 +182,7 @@ def amplitude_array(params, initial, le, u=None):
 
 def amplitudes(params, initial, le, u=None):
     """FlavorAmplitudes at a single L/E point (km/GeV)."""
-    a_b = amplitude_array(params, initial, float(le), u=u)
+    a_b = amplitude_array(params, initial, np.array([float(le)]), u=u)[0]
     return FlavorAmplitudes(initial, float(le), a_b[0], a_b[1], a_b[2])
 
 
@@ -234,14 +220,17 @@ def probability_array(params, initial, le, u=None):
 
 
 def probabilities(params, initial, le, u=None):
-    """ProbabilityTriple at a single L/E point (km/GeV)."""
-    p = probability_array(params, initial, float(le), u=u)
-    return ProbabilityTriple.from_raw(p[0], p[1], p[2])
+    """ProbabilityTriple at a single L/E point (km/GeV).
+
+    Evaluated as a length-1 grid, so it equals the matching sweep row bit
+    for bit.
+    """
+    p = probability_array(params, initial, np.array([float(le)]), u=u)
+    return ProbabilityTriple(*checked_probabilities(p)[0].tolist())
 
 
 def probability_matrix(params, le):
     """3x3 matrix P[a, b] of transition probabilities at one L/E point."""
     u = build_pmns(params)
-    return np.stack(
-        [probability_array(params, flavor, float(le), u=u) for flavor in FLAVORS]
-    )
+    le = np.array([float(le)])
+    return np.concatenate([probability_array(params, flavor, le, u=u) for flavor in FLAVORS])

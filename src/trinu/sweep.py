@@ -13,13 +13,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import measures, oscillation
+from .measures import CSV_COLUMNS
 from .oscillation import OscillationParams
-
-CSV_COLUMNS = (
-    "le_km_per_GeV", "p_e", "p_mu", "p_tau",
-    "ggm", "three_pi", "gmc", "fill",
-    "edge_a", "edge_b", "edge_c",
-)
 
 UNITS = ("km/GeV", "km/MeV")
 SCALES = ("linear", "log")
@@ -111,22 +106,6 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
 
-def _closed_form_table(params, initial, le):
-    probs = oscillation.probability_array(params, initial, le)
-    edges = measures.triangle_edges_from_probs(probs)
-    vals = measures.measures_from_probs(probs)
-    return np.column_stack([le, probs, vals, edges])
-
-
-def _generic_table(params, initial, le):
-    u = oscillation.build_pmns(params)
-    probs = oscillation.checked_probabilities(
-        oscillation.probability_array(params, initial, le, u=u))
-    vals, edges = measures.generic_measures(
-        oscillation.amplitude_array(params, initial, le, u=u))
-    return np.column_stack([le, probs, vals, edges])
-
-
 def _grid_local_extrema(y):
     """Counts of strict grid-local minima and maxima of a sampled curve."""
     interior = y[1:-1]
@@ -148,9 +127,9 @@ def run_sweep(config, params=None):
     le = config.grid()
     closed = generic = None
     if config.path in ("closed-form", "both"):
-        closed = _closed_form_table(params, config.initial, le)
+        closed = measures.table(params, config.initial, le)
     if config.path in ("generic", "both"):
-        generic = _generic_table(params, config.initial, le)
+        generic = measures.table(params, config.initial, le, path="generic")
     table = closed if closed is not None else generic
     summary = {"points": int(config.points), "path": config.path}
     gmc_col = table[:, CSV_COLUMNS.index("gmc")]
@@ -166,7 +145,13 @@ def run_sweep(config, params=None):
     summary["min_fill_minus_gmc"] = float(margin[worst])
     summary["min_fill_minus_gmc_le"] = float(le[worst])
     if config.path == "both":
-        summary["max_path_discrepancy"] = float(np.max(np.abs(closed - generic)))
+        diff = np.abs(closed - generic)
+        summary["max_path_discrepancy"] = float(np.max(diff))
+        worst = diff.argmax(axis=0)
+        summary["path_discrepancy_by_column"] = {
+            name: {"max": float(diff[i, j]), "le": float(le[i])}
+            for j, (name, i) in enumerate(zip(CSV_COLUMNS, worst)) if j > 0
+        }
     return SweepResult(config, le, table,
                        generic if config.path == "both" else None, summary)
 
@@ -224,6 +209,11 @@ def summary_lines(result):
         lines.append(
             f"max |closed-form - generic|: {result.summary['max_path_discrepancy']:.3e}"
         )
+        parts = [
+            f"{name} {d['max']:.3e}" + (f" at {d['le']:.6g}" if d["max"] else "")
+            for name, d in result.summary["path_discrepancy_by_column"].items()
+        ]
+        lines.append("per column (L/E in km/GeV): " + ", ".join(parts))
     return lines
 
 
@@ -245,16 +235,6 @@ class ExtremumRecord:
     value: float
     bracket: tuple
     boundary: bool = False
-
-
-def _measure_at(params, initial, path, measure):
-    u = oscillation.build_pmns(params)
-
-    def f(le):
-        rep = measures.report(params, initial, le, path=path, u=u)
-        return getattr(rep, measure)
-
-    return f
 
 
 def find_extremum(config, measure, kind, window, params=None):
@@ -279,11 +259,19 @@ def find_extremum(config, measure, kind, window, params=None):
     if params is None:
         params = config.load_params()
     path = "closed-form" if config.path == "both" else config.path
-    f = _measure_at(params, config.initial, path, measure)
+    u = oscillation.build_pmns(params)
+    column = CSV_COLUMNS.index(measure)
+
+    def scan(le):
+        return measures.table(params, config.initial, le, path=path, u=u)[:, column]
+
+    def f(le):
+        return float(scan(np.array([le]))[0])
+
     sign = -1.0 if kind == "max" else 1.0
 
     grid = np.linspace(lo, hi, SCAN_POINTS)
-    vals = np.array([sign * f(x) for x in grid])
+    vals = sign * scan(grid)
     best = int(np.argmin(vals))
     if best in (0, SCAN_POINTS - 1):
         le = float(grid[best])

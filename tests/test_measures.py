@@ -210,6 +210,22 @@ class TestGenericMeasures:
         with pytest.raises(ValueError, match="outside"):
             measures.check_triangles(np.array([0.2, np.nan, 0.4]))
 
+    def test_triangle_check_on_one_triangle(self):
+        measures.check_triangles(np.array([0.2, 0.3, 0.4]))
+        with pytest.raises(ValueError) as err:
+            measures.check_triangles(np.array([0.9, 0.1, 0.1]))
+        assert str(err.value) == (
+            "edge 0.9 violates the triangle inequality against (0.9, 0.1, 0.1)")
+
+    def test_triangle_check_messages_print_plain_floats(self):
+        with pytest.raises(ValueError) as err:
+            measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.2, np.nan, 0.4]]))
+        assert str(err.value) == "triangle edge nan outside [0, 1]"
+        with pytest.raises(ValueError) as err:
+            measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.1, 0.25, 0.1]]))
+        assert str(err.value) == (
+            "edge 0.25 violates the triangle inequality against (0.1, 0.25, 0.1)")
+
 
 class TestClosedFormInvariants:
     @settings(max_examples=200, deadline=None)

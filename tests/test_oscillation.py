@@ -15,7 +15,6 @@ from trinu import (
 )
 from trinu.oscillation import (
     FLAVORS,
-    ProbabilityTriple,
     amplitude_array,
     checked_probabilities,
     probability_array,
@@ -160,7 +159,15 @@ class TestProbabilities:
         with pytest.raises(ValueError, match="sum"):
             checked_probabilities(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.5]]))
         with pytest.raises(ValueError, match="outside"):
-            ProbabilityTriple.from_raw(float("nan"), 0.5, 0.5)
+            checked_probabilities(np.array([np.nan, 0.5, 0.5]))
+
+    def test_checked_probabilities_messages_print_plain_floats(self):
+        with pytest.raises(ValueError) as err:
+            checked_probabilities(np.array([[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]]))
+        assert str(err.value) == "probability nan outside [0, 1] beyond tolerance"
+        with pytest.raises(ValueError) as err:
+            checked_probabilities(np.array([0.5, 0.5, 0.5]))
+        assert str(err.value) == "probabilities sum to 1.5, expected 1"
 
     def test_row_and_column_sums(self, params):
         for le in (0.0, 123.4, 5678.0, 40000.0):

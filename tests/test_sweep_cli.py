@@ -5,7 +5,15 @@ import os
 import numpy as np
 import pytest
 
-from trinu import SweepConfig, find_extremum, measures, report, run_sweep, triangle_record
+from trinu import (
+    SweepConfig,
+    find_extremum,
+    measures,
+    probabilities,
+    report,
+    run_sweep,
+    triangle_record,
+)
 from trinu.cli import load_preset, main
 from trinu.sweep import (
     CSV_COLUMNS,
@@ -123,6 +131,49 @@ class TestRunSweep:
                         *rep.triangle.edges())
             assert tuple(row) == expected
 
+    @pytest.mark.parametrize("path", ["closed-form", "generic"])
+    @pytest.mark.parametrize("preset", ["electron", "muon"])
+    def test_reports_equal_sweep_rows_bit_for_bit(self, params, preset, path):
+        cfg = load_preset(preset)
+        cfg.path = path
+        result = run_sweep(cfg)
+        reps = [report(params, cfg.initial, x, path=path) for x in result.le]
+        rows = np.array([(r.le, *r.probabilities.as_tuple(), *r.measures(),
+                          *r.triangle.edges()) for r in reps])
+        differ = np.any(rows.view(np.uint64) != result.table.view(np.uint64), axis=1)
+        assert not differ.any(), f"{differ.sum()} of {len(rows)} rows differ"
+
+    @pytest.mark.parametrize("preset", ["electron", "muon"])
+    def test_probabilities_equal_sweep_rows_bit_for_bit(self, params, preset):
+        cfg = load_preset(preset)
+        cfg.path = "both"
+        result = run_sweep(cfg)
+        probs = np.array([probabilities(params, cfg.initial, x).as_tuple()
+                          for x in result.le])
+        for table in (result.table, result.generic_table):
+            differ = np.any(probs.view(np.uint64) != table[:, 1:4].view(np.uint64), axis=1)
+            assert not differ.any(), f"{differ.sum()} of {len(probs)} rows differ"
+
+    def test_summary_reports_discrepancy_per_column(self):
+        result = run_sweep(small_config(
+            initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
+            scale="log", points=401, path="both",
+        ))
+        diff = np.abs(result.table - result.generic_table)
+        by_column = result.summary["path_discrepancy_by_column"]
+        assert tuple(by_column) == CSV_COLUMNS[1:]
+        for j, name in enumerate(CSV_COLUMNS[1:], start=1):
+            i = int(diff[:, j].argmax())
+            assert by_column[name] == {"max": diff[i, j], "le": result.le[i]}
+        assert result.summary["max_path_discrepancy"] == max(
+            d["max"] for d in by_column.values())
+        lines = summary_lines(result)
+        assert lines[-2] == (
+            f"max |closed-form - generic|: {result.summary['max_path_discrepancy']:.3e}")
+        worst = by_column["fill"]
+        assert lines[-1].startswith("per column (L/E in km/GeV): p_e 0.000e+00, ")
+        assert f"fill {worst['max']:.3e} at {worst['le']:.6g}" in lines[-1]
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunking_does_not_change_rows(self, monkeypatch, offset):
         chunk = 8
@@ -179,12 +230,39 @@ class TestFindExtremum:
         assert rec.le == pytest.approx(513.4, abs=2.0)
 
     def test_value_matches_direct_evaluation(self, params):
-        from trinu import report
-
         rec = find_extremum(small_config(points=401), "gmc", "max", (8.0, 13.0))
         assert rec.value == pytest.approx(
             getattr(report(params, "e", rec.le), "gmc"), abs=1e-12
         )
+
+    @pytest.mark.parametrize("path", ["closed-form", "generic"])
+    @pytest.mark.parametrize("measure", measures.MEASURE_NAMES)
+    @pytest.mark.parametrize("initial,kind,window", [
+        ("e", "max", (8.0, 13.0)), ("mu", "min", (420.0, 600.0)),
+    ])
+    def test_value_equals_report_bit_for_bit(self, params, initial, kind, window,
+                                             measure, path):
+        cfg = small_config(points=401, path=path)
+        if initial == "mu":
+            cfg = small_config(initial="mu", le_min=10.0, le_max=1600.0,
+                               unit="km/GeV", scale="log", path=path)
+        rec = find_extremum(cfg, measure, kind, window)
+        assert not rec.boundary
+        assert rec.value == getattr(report(params, initial, rec.le, path), measure)
+
+    @pytest.mark.parametrize("path", ["closed-form", "generic"])
+    def test_makes_no_report_call(self, monkeypatch, path):
+        calls = []
+        scalar_report = measures.report
+
+        def counting_report(*args, **kwargs):
+            calls.append(args)
+            return scalar_report(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "report", counting_report)
+        find_extremum(small_config(path=path), "fill", "max", (8.0, 13.0))
+        find_extremum(small_config(path=path), "fill", "max", (0.0, 0.3))
+        assert calls == []
 
     def test_boundary_extremum_flagged(self):
         # fill rises monotonically from the origin, so the max sits on the edge
