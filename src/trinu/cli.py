@@ -7,6 +7,7 @@ import argparse
 import contextlib
 import json
 import sys
+import time
 from importlib import resources
 
 from . import measures, sweep
@@ -117,13 +118,18 @@ def _open_output(path):
 def _cmd_sweep(args):
     config = _config_from_args(args)
     result = sweep.run_sweep(config)
+    start = time.perf_counter()
     with _open_output(config.output) as fh:
         sweep.write_csv(result, fh)
     if args.slopes:
         with open(args.slopes, "w", newline="") as fh:
             sweep.write_slopes(result, fh)
+    stage_s = result.summary["stage_s"]
+    stage_s["write"] = time.perf_counter() - start
     for line in sweep.summary_lines(result):
         print(line, file=sys.stderr)
+    print("stage times (s): " + ", ".join(f"{name} {t:.3g}" for name, t in stage_s.items()),
+          file=sys.stderr)
     return 0
 
 

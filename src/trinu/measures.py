@@ -17,6 +17,7 @@ which N_{A(BC)} equals the one-to-other concurrence sqrt(2[1 - Tr(rho_A^2)])
 on pure states, and it reproduces the closed-form three-pi expression.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +117,26 @@ def check_triangles(edges):
 # All functions broadcast over a trailing axis of length 3.
 # ---------------------------------------------------------------------------
 
+def _one_row_as_stack(fn):
+    """Evaluate a single (3,) input as the one row of a (1, 3) stack.
+
+    numpy's scalar power rounds the fourth root differently from its array
+    loop, so a lone triple would otherwise differ in the last bit from the
+    same triple inside a stack.
+    """
+    @functools.wraps(fn)
+    def wrapper(x):
+        x = np.asarray(x, dtype=np.float64)
+        return fn(x[None])[0] if x.ndim == 1 else fn(x)
+    return wrapper
+
+
 def _prepare_probs(p):
     p = np.asarray(p, dtype=np.float64)
     return np.where(p < PROB_SNAP, 0.0, p)
 
 
+@_one_row_as_stack
 def triangle_edges_from_probs(p):
     """Edges 4 P_x (P_y + P_z) of the concurrence triangle, shape (..., 3)."""
     p = _prepare_probs(p)
@@ -128,6 +144,7 @@ def triangle_edges_from_probs(p):
     return _snap(4.0 * p * (total - p))
 
 
+@_one_row_as_stack
 def ggm_from_probs(p):
     """1 minus the largest single-qubit Schmidt eigenvalue over all splits."""
     p = _prepare_probs(p)
@@ -136,6 +153,7 @@ def ggm_from_probs(p):
     return _snap(1.0 - lam)
 
 
+@_one_row_as_stack
 def three_pi_from_probs(p):
     """Average residual negativity-squared of the three one-qubit focuses."""
     p = _prepare_probs(p)
@@ -149,11 +167,13 @@ def three_pi_from_probs(p):
     return _snap(4.0 / 3.0 * s)
 
 
+@_one_row_as_stack
 def gmc_from_probs(p):
     """Shortest edge of the concurrence triangle (squared convention)."""
     return _snap(triangle_edges_from_probs(p).min(axis=-1))
 
 
+@_one_row_as_stack
 def fill_from_probs(p):
     """Concurrence fill via the explicit W-class product formula.
 
@@ -168,6 +188,7 @@ def fill_from_probs(p):
     return np.where(gmc_from_probs(p) > 0.0, fill, 0.0)
 
 
+@_one_row_as_stack
 def heron_fill(edges):
     """Concurrence fill from triangle edges: [16/3 Q prod(Q - edge)]^(1/4).
 

@@ -205,16 +205,19 @@ def probability_array(params, initial, le, u=None):
     a = _flavor_index(initial)
     if u is None:
         u = build_pmns(params)
+    sines = []
+    for k, l in _PAIRS:
+        arg = PHASE_CONST * _splitting(params, k, l) * le
+        sines.append((np.sin(arg) ** 2, np.sin(2.0 * arg)))
     out = np.empty(le.shape + (3,), dtype=np.float64)
     for b in range(3):
         p = np.full(le.shape, 1.0 if a == b else 0.0)
-        for k, l in _PAIRS:
+        for (k, l), (sin_sq, sin_2) in zip(_PAIRS, sines):
             quartic = np.conj(u[a, k]) * u[b, k] * u[a, l] * np.conj(u[b, l])
-            arg = PHASE_CONST * _splitting(params, k, l) * le
             # the imaginary term's sign is fixed by the e^{-i phi_k} evolution
             # convention of amplitudes(); it vanishes at delta_cp = 0
-            p = p - 4.0 * quartic.real * np.sin(arg) ** 2
-            p = p - 2.0 * quartic.imag * np.sin(2.0 * arg)
+            p = p - 4.0 * quartic.real * sin_sq
+            p = p - 2.0 * quartic.imag * sin_2
         out[..., b] = p
     return out
 

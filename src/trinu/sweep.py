@@ -8,6 +8,7 @@ same configuration are byte-identical.
 
 import json
 import math
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -114,22 +115,34 @@ def _grid_local_extrema(y):
     return minima, maxima
 
 
+def _lap(start):
+    """Seconds since ``start`` and the clock reading that ends the lap."""
+    now = time.perf_counter()
+    return now - start, now
+
+
 def run_sweep(config, params=None):
     """Evaluate the configured sweep; rows are ordered by L/E ascending.
 
     With path "both" the closed-form values are the ones serialized and the
     run summary carries the max per-column discrepancy against the generic
-    route.
+    route.  ``summary["stage_s"]`` holds the seconds spent on the grid, on
+    each route's measure table and on the summary.
     """
     config.validate()
     if params is None:
         params = config.load_params()
+    stage_s = {}
+    clock = time.perf_counter()
     le = config.grid()
+    stage_s["grid"], clock = _lap(clock)
     closed = generic = None
     if config.path in ("closed-form", "both"):
         closed = measures.table(params, config.initial, le)
+        stage_s["closed-form"], clock = _lap(clock)
     if config.path in ("generic", "both"):
         generic = measures.table(params, config.initial, le, path="generic")
+        stage_s["generic"], clock = _lap(clock)
     table = closed if closed is not None else generic
     summary = {"points": int(config.points), "path": config.path}
     gmc_col = table[:, CSV_COLUMNS.index("gmc")]
@@ -152,6 +165,8 @@ def run_sweep(config, params=None):
             name: {"max": float(diff[i, j]), "le": float(le[i])}
             for j, (name, i) in enumerate(zip(CSV_COLUMNS, worst)) if j > 0
         }
+    stage_s["summary"], _ = _lap(clock)
+    summary["stage_s"] = stage_s
     return SweepResult(config, le, table,
                        generic if config.path == "both" else None, summary)
 
@@ -174,23 +189,40 @@ def slope_table(result):
     return np.column_stack([le[1:-1], *slopes])
 
 
-def write_slopes(result, stream):
-    stream.write(",".join(SLOPE_COLUMNS) + "\n")
-    for row in slope_table(result):
-        stream.write(",".join(format_number(v) for v in row) + "\n")
+#: How every number is written: 12 significant digits.
+NUMBER_FORMAT = "%.12g"
+
+#: Rows formatted per block by the table writers; bounds the text held at once.
+WRITE_CHUNK = 4096
 
 
 def format_number(x):
-    """Deterministic 12-significant-digit serialization of one value."""
-    if x == 0:
-        return "0"
-    return f"{x:.12g}"
+    """Deterministic 12-significant-digit serialization of one value.
+
+    Adding 0.0 turns -0.0 into 0.0, so every zero is written as "0".
+    """
+    return NUMBER_FORMAT % (x + 0.0)
+
+
+def _write_table(header, table, stream):
+    """Write a header line and the rows of ``table`` as ``format_number`` would.
+
+    Each block of ``WRITE_CHUNK`` rows is formatted by one ``%`` over a
+    repeated line template, so the whole table is never held as text.
+    """
+    stream.write(",".join(header) + "\n")
+    line = ",".join([NUMBER_FORMAT] * table.shape[1]) + "\n"
+    for start in range(0, len(table), WRITE_CHUNK):
+        block = table[start:start + WRITE_CHUNK] + 0.0
+        stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_slopes(result, stream):
+    _write_table(SLOPE_COLUMNS, slope_table(result), stream)
 
 
 def write_csv(result, stream):
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    for row in result.table:
-        stream.write(",".join(format_number(v) for v in row) + "\n")
+    _write_table(CSV_COLUMNS, result.table, stream)
 
 
 def summary_lines(result):

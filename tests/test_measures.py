@@ -168,14 +168,22 @@ class TestConcurrenceFill:
         assert val == pytest.approx(0.328648, abs=1e-6)
 
     def test_heron_stack_matches_one_by_one(self, rng):
-        p = rng.dirichlet(np.ones(3), size=8)
+        p = rng.dirichlet(np.ones(3), size=200)
         edges = 4.0 * p * (1.0 - p)
         stacked = heron_fill(edges)
-        assert stacked.shape == (8,)
+        assert stacked.shape == (200,)
         for row, value in zip(edges, stacked):
-            # one row takes numpy's scalar power, a stack its array loop;
-            # the two may round the fourth root differently
-            np.testing.assert_array_max_ulp(heron_fill(row), value, maxulp=2)
+            assert heron_fill(row) == value
+
+    @pytest.mark.parametrize("closed_form", [
+        triangle_edges_from_probs, ggm_from_probs, three_pi_from_probs,
+        gmc_from_probs, fill_from_probs,
+    ])
+    def test_closed_form_stack_matches_one_by_one(self, rng, closed_form):
+        p = rng.dirichlet(np.ones(3), size=200)
+        stacked = closed_form(p)
+        for row, value in zip(p, stacked):
+            assert np.array_equal(closed_form(row), value)
 
     def test_degenerate_triangle_clamps_to_zero(self):
         assert heron_fill(np.array([0.5, 0.3, 0.8])) == 0.0

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,15 +15,19 @@ from trinu import (
     run_sweep,
     triangle_record,
 )
+from trinu import sweep
 from trinu.cli import load_preset, main
 from trinu.sweep import (
     CSV_COLUMNS,
+    SLOPE_COLUMNS,
     ConfigError,
+    SweepResult,
     format_number,
     slope_table,
     summary_lines,
     triangle_text,
     write_csv,
+    write_slopes,
 )
 
 
@@ -33,10 +38,38 @@ def small_config(**kw):
     return SweepConfig(**base).validate()
 
 
-def csv_bytes(result):
+def written(writer, result):
     buf = io.StringIO()
-    write_csv(result, buf)
-    return buf.getvalue().encode()
+    writer(result, buf)
+    return buf.getvalue()
+
+
+def csv_bytes(result):
+    return written(write_csv, result).encode()
+
+
+def reference_number(x):
+    """The one-value rule the table writers must reproduce."""
+    if x == 0:
+        return "0"
+    return f"{x:.12g}"
+
+
+def reference_text(header, table):
+    """One line per row, one ``reference_number`` call per value."""
+    lines = [",".join(header)]
+    lines += [",".join(reference_number(v) for v in row) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+#: Values at the edges of the 12-digit rule: signed zero, scientific
+#: notation, extreme magnitudes, and exactly 12 and 13 significant digits.
+EDGE_VALUES = (
+    0.0, -0.0, 1.0, -1.0, 0.5, 1e-5, -3.25e-7, 1e-4, 9.99999999999e-5,
+    1e300, -1e300, 5e-324, -5e-324, 1.7976931348623157e308,
+    123456789012.0, 1234567890123.0, 0.123456789012, 0.1234567890125,
+    -0.1234567890123, 999999999999.5, 1e12, 1e16,
+)
 
 
 class TestConfig:
@@ -75,6 +108,7 @@ class TestConfig:
 class TestFormatting:
     @pytest.mark.parametrize("x,text", [
         (0.0, "0"),
+        (-0.0, "0"),
         (1.0, "1"),
         (0.5, "0.5"),
         (1e-5, "1e-05"),
@@ -83,6 +117,41 @@ class TestFormatting:
     ])
     def test_twelve_significant_digits(self, x, text):
         assert format_number(x) == text
+
+    def test_matches_reference_rule(self):
+        for x in EDGE_VALUES:
+            assert format_number(x) == reference_number(x)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("chunk", [1, 3, 10 ** 6])
+    @pytest.mark.parametrize("preset", [None, "electron"])
+    def test_csv_and_slopes_match_reference(self, monkeypatch, preset, chunk):
+        cfg = small_config() if preset is None else load_preset(preset)
+        result = run_sweep(cfg)
+        monkeypatch.setattr(sweep, "WRITE_CHUNK", chunk)
+        assert written(write_csv, result) == reference_text(CSV_COLUMNS, result.table)
+        assert written(write_slopes, result) == reference_text(
+            SLOPE_COLUMNS, slope_table(result))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10 ** 6])
+    def test_edge_values_match_reference(self, monkeypatch, chunk):
+        values = np.resize(np.array(EDGE_VALUES), 5 * len(CSV_COLUMNS))
+        table = values.reshape(5, len(CSV_COLUMNS))
+        result = SweepResult(small_config(), table[:, 0], table, None)
+        monkeypatch.setattr(sweep, "WRITE_CHUNK", chunk)
+        text = written(write_csv, result)
+        assert text == reference_text(CSV_COLUMNS, table)
+        assert "-0" not in text.replace("\n", ",").split(",")
+
+    def test_stdout_equals_file_output(self, tmp_path, capsys):
+        argv = ["sweep", "--points", "201"]
+        assert main(argv) == 0
+        to_stdout = capsys.readouterr().out
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_text() == to_stdout
+        assert to_stdout == csv_bytes(run_sweep(small_config())).decode()
 
 
 class TestRunSweep:
@@ -199,6 +268,15 @@ class TestRunSweep:
         assert any(line.startswith("min fill - gmc: -0.0314") and "L/E 457" in line
                    for line in lines)
 
+    @pytest.mark.parametrize("path,routes", [
+        ("closed-form", ["closed-form"]), ("generic", ["generic"]),
+        ("both", ["closed-form", "generic"]),
+    ])
+    def test_summary_times_each_stage(self, path, routes):
+        stage_s = run_sweep(small_config(path=path)).summary["stage_s"]
+        assert list(stage_s) == ["grid", *routes, "summary"]
+        assert all(t >= 0.0 for t in stage_s.values())
+
     def test_muon_kink_count(self):
         result = run_sweep(small_config(
             initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
@@ -306,6 +384,16 @@ class TestCli:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 102
         assert "rows: 101" in capsys.readouterr().err
+
+    def test_sweep_prints_stage_times_last(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--points", "51", "--path", "both", "--output", str(out),
+                     "--slopes", str(tmp_path / "slopes.csv")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[:-1] == summary_lines(run_sweep(small_config(points=51, path="both")))
+        assert re.fullmatch(r"stage times \(s\): grid \S+, closed-form \S+, "
+                            r"generic \S+, summary \S+, write \S+", err[-1])
 
     def test_sweep_preset_with_overrides(self, tmp_path):
         out = tmp_path / "muon.csv"
