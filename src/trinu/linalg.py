@@ -28,6 +28,16 @@ def hermiticity_defect(m):
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
+def check_hermitian(m, tol=HERMITICITY_TOL):
+    """Raise ``ValueError`` if ``m`` (one matrix or a stack) deviates from
+    Hermiticity by more than ``tol``."""
+    defect = hermiticity_defect(m)
+    if defect > tol:
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}"
+        )
+
+
 def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
     """All eigenvalues of a Hermitian matrix, ascending, shape (..., n).
 
@@ -38,18 +48,8 @@ def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}"
-        )
+    check_hermitian(m, tol)
     return eigvalsh_small(m)
-
-
-def trace_of_square(m):
-    """Tr(m @ m) for a Hermitian matrix, evaluated without forming the product."""
-    m = np.asarray(m)
-    return float(np.sum(np.abs(m) ** 2))
 
 
 def _qubit_axes(keep):
@@ -71,8 +71,12 @@ def partial_trace(rho, keep):
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
-    if hermiticity_defect(rho) > HERMITICITY_TOL:
-        raise ValueError("partial_trace input is not Hermitian within tolerance")
+    check_hermitian(rho)
+    return _partial_trace(rho, keep)
+
+
+def _partial_trace(rho, keep):
+    """``partial_trace`` of a complex (..., 8, 8) stack, without input checks."""
     kept = _qubit_axes(keep)
     ket = "abc"
     bra = "".join(q.upper() if i in kept else q for i, q in enumerate(ket))

@@ -122,41 +122,34 @@ def _one_row_as_stack(fn):
 
     numpy's scalar power rounds the fourth root differently from its array
     loop, so a lone triple would otherwise differ in the last bit from the
-    same triple inside a stack.
+    same triple inside a stack.  A tuple result is unstacked item by item.
     """
     @functools.wraps(fn)
     def wrapper(x):
         x = np.asarray(x, dtype=np.float64)
-        return fn(x[None])[0] if x.ndim == 1 else fn(x)
+        if x.ndim != 1:
+            return fn(x)
+        out = fn(x[None])
+        return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
     return wrapper
 
 
-def _prepare_probs(p):
-    p = np.asarray(p, dtype=np.float64)
-    return np.where(p < PROB_SNAP, 0.0, p)
-
-
 @_one_row_as_stack
-def triangle_edges_from_probs(p):
-    """Edges 4 P_x (P_y + P_z) of the concurrence triangle, shape (..., 3)."""
-    p = _prepare_probs(p)
+def _closed_form(p):
+    """(ggm, three_pi, gmc, fill) as (..., 4) and the triangle edges as (..., 3).
+
+    Probabilities below ``PROB_SNAP`` count as zero.  A triangle whose
+    shortest edge snaps to zero is degenerate and fills nothing, so the fill
+    is forced to 0 there; this keeps the closed form consistent with the
+    Heron evaluation on snapped edges.
+    """
+    p = np.where(p < PROB_SNAP, 0.0, p)
     total = p.sum(axis=-1, keepdims=True)
-    return _snap(4.0 * p * (total - p))
-
-
-@_one_row_as_stack
-def ggm_from_probs(p):
-    """1 minus the largest single-qubit Schmidt eigenvalue over all splits."""
-    p = _prepare_probs(p)
-    total = p.sum(axis=-1, keepdims=True)
-    lam = np.maximum(p, total - p).max(axis=-1)
-    return _snap(1.0 - lam)
-
-
-@_one_row_as_stack
-def three_pi_from_probs(p):
-    """Average residual negativity-squared of the three one-qubit focuses."""
-    p = _prepare_probs(p)
+    # edges 4 P_x (P_y + P_z)
+    edges = _snap(4.0 * p * (total - p))
+    # 1 minus the largest single-qubit Schmidt eigenvalue over all splits
+    ggm = _snap(1.0 - np.maximum(p, total - p).max(axis=-1))
+    # average residual negativity-squared of the three one-qubit focuses
     pe, pm, pt = p[..., 0], p[..., 1], p[..., 2]
     s = (
         -pe ** 2 - pm ** 2 - pt ** 2
@@ -164,28 +157,48 @@ def three_pi_from_probs(p):
         + pm * np.sqrt(pm ** 2 + 4.0 * pe * pt)
         + pt * np.sqrt(pt ** 2 + 4.0 * pe * pm)
     )
-    return _snap(4.0 / 3.0 * s)
+    three_pi = _snap(4.0 / 3.0 * s)
+    # the shortest edge (squared convention)
+    gmc = _snap(edges.min(axis=-1))
+    # the concurrence fill via the explicit W-class product formula
+    inner = (pe * pm * pt) ** 2 * (pm * pt + pe * (pm + pt)) / 3.0
+    fill = np.where(gmc > 0.0, _snap(8.0 * np.maximum(inner, 0.0) ** 0.25), 0.0)
+    return np.stack([ggm, three_pi, gmc, fill], axis=-1), edges
 
 
-@_one_row_as_stack
+def triangle_edges_from_probs(p):
+    """Edges 4 P_x (P_y + P_z) of the concurrence triangle, shape (..., 3)."""
+    return _closed_form(p)[1]
+
+
+def measures_from_probs(p):
+    """(ggm, three_pi, gmc, fill) stacked on the last axis, shape (..., 4)."""
+    return _closed_form(p)[0]
+
+
+def _column(p, j):
+    """Column ``j`` of ``measures_from_probs``; a scalar for a single triple."""
+    return measures_from_probs(p)[..., j][()]
+
+
+def ggm_from_probs(p):
+    """1 minus the largest single-qubit Schmidt eigenvalue over all splits."""
+    return _column(p, 0)
+
+
+def three_pi_from_probs(p):
+    """Average residual negativity-squared of the three one-qubit focuses."""
+    return _column(p, 1)
+
+
 def gmc_from_probs(p):
     """Shortest edge of the concurrence triangle (squared convention)."""
-    return _snap(triangle_edges_from_probs(p).min(axis=-1))
+    return _column(p, 2)
 
 
-@_one_row_as_stack
 def fill_from_probs(p):
-    """Concurrence fill via the explicit W-class product formula.
-
-    A triangle whose shortest edge snaps to zero is degenerate and fills
-    nothing, so the fill is forced to 0 there; this keeps the closed form
-    consistent with the Heron evaluation on snapped edges.
-    """
-    p = _prepare_probs(p)
-    pe, pm, pt = p[..., 0], p[..., 1], p[..., 2]
-    inner = (pe * pm * pt) ** 2 * (pm * pt + pe * (pm + pt)) / 3.0
-    fill = _snap(8.0 * np.maximum(inner, 0.0) ** 0.25)
-    return np.where(gmc_from_probs(p) > 0.0, fill, 0.0)
+    """Concurrence fill via the explicit W-class product formula; 0 where gmc is."""
+    return _column(p, 3)
 
 
 @_one_row_as_stack
@@ -210,14 +223,6 @@ def heron_fill(edges):
         * (a + (b - c))
     )
     return _snap((np.maximum(prod, 0.0) / 3.0) ** 0.25)
-
-
-def measures_from_probs(p):
-    """(ggm, three_pi, gmc, fill) stacked on the last axis, shape (..., 4)."""
-    return np.stack(
-        [ggm_from_probs(p), three_pi_from_probs(p), gmc_from_probs(p),
-         fill_from_probs(p)], axis=-1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +253,9 @@ def negativity(rho, on=0):
 
 def _generic_chunk(amps):
     rho = tristate.density(amps)
-    singles = np.stack([linalg.partial_trace(rho, q) for q in linalg.QUBITS], axis=-3)
+    # one check covers all six reductions: they inherit rho's Hermiticity
+    linalg.check_hermitian(rho)
+    singles = np.stack([linalg._partial_trace(rho, q) for q in linalg.QUBITS], axis=-3)
     # the edge 2[1 - Tr(rho_X^2)] as 4 det(rho_X): the same quantity for a
     # unit-trace 2x2 matrix, but free of the cancellation that 1 - Tr(rho^2)
     # suffers near product states
@@ -257,7 +264,7 @@ def _generic_chunk(amps):
     edges = _snap(4.0 * det)
     check_triangles(edges)
     lam = linalg.hermitian_eigenvalues(singles)[..., -1].max(axis=-1)
-    pairs = np.stack([linalg.partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
+    pairs = np.stack([linalg._partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
                      axis=-3)
     n_ab, n_ac, n_bc = np.moveaxis(negativity(pairs) ** 2, -1, 0)
     pi_a = edges[..., 0] - n_ab - n_ac
@@ -342,9 +349,8 @@ def table(params, initial, le, path="closed-form", u=None):
         u = build_pmns(params)
     probs = checked_probabilities(probability_array(params, initial, le, u=u))
     if path == "closed-form":
-        edges = triangle_edges_from_probs(probs)
+        vals, edges = _closed_form(probs)
         check_triangles(edges)
-        vals = measures_from_probs(probs)
     else:
         vals, edges = generic_measures(amplitude_array(params, initial, le, u=u))
     return np.column_stack([le, probs, vals, edges])

@@ -96,9 +96,6 @@ class FlavorAmplitudes:
     def as_tuple(self):
         return (self.a_e, self.a_mu, self.a_tau)
 
-    def norm_sq(self):
-        return abs(self.a_e) ** 2 + abs(self.a_mu) ** 2 + abs(self.a_tau) ** 2
-
 
 @dataclass(frozen=True)
 class ProbabilityTriple:

@@ -253,10 +253,11 @@ def summary_lines(result):
 # extremum refinement.
 # ---------------------------------------------------------------------------
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 #: Coarse-scan resolution inside the requested window.
 SCAN_POINTS = 257
+
+#: Points per zoom round across the current bracket.
+ZOOM_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,14 @@ class ExtremumRecord:
 def find_extremum(config, measure, kind, window, params=None):
     """Locate an extremum of one measure inside a window of the sweep range.
 
-    The window is given in the config's unit.  A coarse scan brackets the
-    extremum, golden-section refines it to 1e-6 of the window width.  If the
-    best scan point sits on the window boundary the record is flagged and no
-    refinement is attempted.
+    The window is given in the config's unit.  A coarse scan of
+    ``SCAN_POINTS`` brackets the extremum between the best point's two
+    neighbours.  Each zoom round then evaluates ``ZOOM_POINTS`` across the
+    bracket in one table call and shrinks it to the new best point's
+    neighbours, until it is at most 1e-6 of the window width or a round no
+    longer narrows it.  The record holds the last round's best point, its
+    table value and the final bracket.  If the best scan point sits on the
+    window boundary the record is flagged and no refinement is attempted.
     """
     config.validate()
     if measure not in measures.MEASURE_NAMES:
@@ -293,38 +298,30 @@ def find_extremum(config, measure, kind, window, params=None):
     path = "closed-form" if config.path == "both" else config.path
     u = oscillation.build_pmns(params)
     column = CSV_COLUMNS.index(measure)
-
-    def scan(le):
-        return measures.table(params, config.initial, le, path=path, u=u)[:, column]
-
-    def f(le):
-        return float(scan(np.array([le]))[0])
-
     sign = -1.0 if kind == "max" else 1.0
 
+    def best_of(grid):
+        """Index of the best grid point, its L/E and its table value."""
+        vals = measures.table(params, config.initial, grid, path=path, u=u)[:, column]
+        best = int(np.argmin(sign * vals))
+        return best, float(grid[best]), float(vals[best])
+
     grid = np.linspace(lo, hi, SCAN_POINTS)
-    vals = sign * scan(grid)
-    best = int(np.argmin(vals))
+    best, le, value = best_of(grid)
     if best in (0, SCAN_POINTS - 1):
-        le = float(grid[best])
-        return ExtremumRecord(kind, measure, le, f(le), (lo, hi), boundary=True)
+        return ExtremumRecord(kind, measure, le, value, (lo, hi), boundary=True)
 
     a, b = float(grid[best - 1]), float(grid[best + 1])
     tol = 1e-6 * (hi - lo)
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
     while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = sign * f(d)
-    le = 0.5 * (a + b)
-    return ExtremumRecord(kind, measure, le, f(le), (a, b))
+        grid = np.linspace(a, b, ZOOM_POINTS)
+        best, le, value = best_of(grid)
+        na, nb = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, ZOOM_POINTS - 1)])
+        # a bracket a few ulps wide can stop shrinking before it meets tol
+        if nb - na >= b - a:
+            break
+        a, b = na, nb
+    return ExtremumRecord(kind, measure, le, value, (a, b))
 
 
 # ---------------------------------------------------------------------------

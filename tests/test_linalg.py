@@ -34,7 +34,7 @@ class TestHermitianEigenvalues:
             assert len(w) == dim
             assert np.all(np.diff(w) >= 0)
             assert abs(w.sum() - np.trace(m).real) <= 1e-10 * max(1, dim)
-            assert abs((w ** 2).sum() - linalg.trace_of_square(m)) <= 1e-9
+            assert abs((w ** 2).sum() - np.sum(np.abs(m) ** 2)) <= 1e-9
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_against_lapack(self, rng, dim):
@@ -84,6 +84,12 @@ class TestPartialTrace:
             red = linalg.partial_trace(rho, keep)
             assert red.shape == (4, 4)
             assert abs(np.trace(red).real - 1.0) <= 1e-12
+
+    def test_rejects_non_hermitian(self):
+        m = np.eye(8, dtype=np.complex128) / 8
+        m[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="asymmetry"):
+            linalg.partial_trace(m, "A")
 
     @pytest.mark.parametrize("keep", ["", "ABC", "X"])
     def test_rejects_bad_keep(self, keep):

@@ -342,6 +342,75 @@ class TestFindExtremum:
         find_extremum(small_config(path=path), "fill", "max", (0.0, 0.3))
         assert calls == []
 
+    @staticmethod
+    def count_tables(monkeypatch, limit=20):
+        """Count ``measures.table`` calls; fail a query that makes more than ``limit``."""
+        calls = []
+        table = measures.table
+
+        def counting_table(*args, **kwargs):
+            calls.append(len(args[2]))
+            assert len(calls) <= limit, "extremum query does not converge"
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "table", counting_table)
+        return calls
+
+    @staticmethod
+    def window_config(initial, path="closed-form"):
+        if initial == "mu":
+            return small_config(initial="mu", le_min=10.0, le_max=1600.0,
+                                unit="km/GeV", scale="log", path=path)
+        return small_config(points=401, path=path)
+
+    @pytest.mark.parametrize("path", ["closed-form", "generic"])
+    @pytest.mark.parametrize("measure", ["ggm", "fill"])
+    def test_ulp_wide_window_ends(self, monkeypatch, path, measure):
+        calls = self.count_tables(monkeypatch)
+        rec = find_extremum(small_config(path=path), measure, "max",
+                            (10.83, 10.8300000000001))
+        assert len(calls) <= 4
+        assert rec.bracket[0] <= rec.le <= rec.bracket[1]
+
+    @pytest.mark.parametrize("path", ["closed-form", "generic"])
+    @pytest.mark.parametrize("initial,kind,window", [
+        ("e", "max", (8.0, 13.0)), ("mu", "min", (420.0, 600.0)),
+    ])
+    def test_refined_query_makes_at_most_four_tables(self, monkeypatch, initial,
+                                                      kind, window, path):
+        calls = self.count_tables(monkeypatch)
+        rec = find_extremum(self.window_config(initial, path), "fill", kind, window)
+        assert not rec.boundary
+        assert calls[0] == sweep.SCAN_POINTS
+        assert calls[1:] == [sweep.ZOOM_POINTS] * (len(calls) - 1)
+        assert len(calls) <= 4
+
+    def test_boundary_query_makes_one_table(self, monkeypatch):
+        calls = self.count_tables(monkeypatch)
+        rec = find_extremum(small_config(), "fill", "max", (0.0, 0.3))
+        assert rec.boundary
+        assert calls == [sweep.SCAN_POINTS]
+
+    @pytest.mark.parametrize("measure", ["ggm", "gmc"])
+    def test_kink_peak_beats_dense_scan(self, params, measure):
+        lo, hi = 8000.0, 13000.0
+        rec = find_extremum(small_config(points=401), measure, "max", (8.0, 13.0))
+        grid = np.linspace(lo, hi, 4097)
+        scan = measures.table(params, "e", grid)[:, CSV_COLUMNS.index(measure)]
+        slope = np.max(np.abs(np.diff(scan))) / (grid[1] - grid[0])
+        assert rec.value >= scan.max() - slope * 1e-6 * (hi - lo)
+
+    @pytest.mark.parametrize("measure", measures.MEASURE_NAMES)
+    @pytest.mark.parametrize("initial,kind,window,factor", [
+        ("e", "max", (8.0, 13.0), 1000.0), ("mu", "min", (420.0, 600.0), 1.0),
+    ])
+    def test_bracket_holds_location_within_tolerance(self, initial, kind, window,
+                                                     factor, measure):
+        rec = find_extremum(self.window_config(initial), measure, kind, window)
+        a, b = rec.bracket
+        assert a <= rec.le <= b
+        assert b - a <= 1e-6 * (window[1] - window[0]) * factor
+
     def test_boundary_extremum_flagged(self):
         # fill rises monotonically from the origin, so the max sits on the edge
         rec = find_extremum(small_config(), "fill", "max", (0.0, 0.3))

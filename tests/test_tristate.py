@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from trinu import OscillationParams, amplitudes, density, make_state
-from trinu.linalg import partial_trace, trace_of_square
+from trinu.linalg import partial_trace
 from trinu.tristate import OCCUPATION_INDICES
 
 from conftest import w_class_states
@@ -79,7 +79,8 @@ class TestDensity:
     def test_pure_unit_trace(self, state):
         rho = density(state)
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
-        assert trace_of_square(rho) == pytest.approx(1.0, abs=1e-10)
+        # Tr(rho^2) of a Hermitian matrix is the sum of its squared moduli
+        assert np.sum(np.abs(rho) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestReductions:
@@ -96,5 +97,5 @@ class TestReductions:
     def test_reduction_purity_closed_form(self, state):
         rho = density(state)
         for qubit, p in zip("ABC", state.probabilities()):
-            purity = trace_of_square(partial_trace(rho, qubit))
+            purity = np.sum(np.abs(partial_trace(rho, qubit)) ** 2)
             assert purity == pytest.approx(1.0 - 2.0 * p * (1.0 - p), abs=1e-12)
