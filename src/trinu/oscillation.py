@@ -8,6 +8,7 @@ literature curves.
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -66,6 +67,10 @@ class OscillationParams:
         unknown = set(overrides) - set(PARAM_FIELDS)
         if unknown:
             raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
+        for name, value in overrides.items():
+            # JSON's true and false are ints to Python, but no physics value
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         params = cls()
         if overrides:
             params = replace(

@@ -8,6 +8,8 @@ same configuration are byte-identical.
 
 import json
 import math
+import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -33,6 +35,11 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
+def _is_number(x, kind):
+    """Whether ``x`` is a ``kind`` number; JSON's true and false are not."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass
 class SweepConfig:
     initial: str = "e"
@@ -54,14 +61,23 @@ class SweepConfig:
             raise ConfigError("scale", f"must be one of {SCALES}, got {self.scale!r}")
         if self.path not in PATHS:
             raise ConfigError("path", f"must be one of {PATHS}, got {self.path!r}")
+        for name in ("le_min", "le_max"):
+            if not _is_number(getattr(self, name), numbers.Real):
+                raise ConfigError(name, f"must be a real number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.le_min) and math.isfinite(self.le_max)):
             raise ConfigError("le_min", "sweep bounds must be finite")
         if not self.le_min < self.le_max:
             raise ConfigError("le_min", f"le_min ({self.le_min}) must be < le_max ({self.le_max})")
         if self.scale == "log" and self.le_min <= 0:
             raise ConfigError("le_min", "log scale requires le_min > 0")
+        if not _is_number(self.points, numbers.Integral):
+            raise ConfigError("points", f"must be an integer, got {self.points!r}")
         if not 2 <= self.points <= MAX_POINTS:
             raise ConfigError("points", f"must be in [2, {MAX_POINTS}], got {self.points}")
+        for name in ("params_file", "output"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(name, f"must be a file path, got {value!r}")
         return self
 
     @classmethod
@@ -90,7 +106,8 @@ class SweepConfig:
             g = np.geomspace(self.le_min, self.le_max, self.points)
         else:
             g = np.linspace(self.le_min, self.le_max, self.points)
-        return g * self.unit_factor()
+        g *= self.unit_factor()  # in place: a scaled copy would double the largest array
+        return g
 
     def load_params(self):
         if self.params_file is None:
@@ -102,9 +119,18 @@ class SweepConfig:
 class SweepResult:
     config: SweepConfig
     le: np.ndarray
-    table: np.ndarray                 # (points, 11), the emitted path
-    generic_table: np.ndarray | None  # populated when path == "both"
+    table: np.ndarray | None          # (points, 11), the emitted path; None if streamed
+    generic_table: np.ndarray | None  # populated when path == "both" and not streamed
     summary: dict = field(default_factory=dict)
+
+
+#: Rows per chunk of a sweep: each route's measure table, the summary and the
+#: sink see at most this many rows at a time, which bounds a sweep's memory.
+SWEEP_CHUNK = 4096
+
+_GMC = CSV_COLUMNS.index("gmc")
+_FILL = CSV_COLUMNS.index("fill")
+_EDGES = slice(CSV_COLUMNS.index("edge_a"), CSV_COLUMNS.index("edge_c") + 1)
 
 
 def _grid_local_extrema(y):
@@ -115,60 +141,121 @@ def _grid_local_extrema(y):
     return minima, maxima
 
 
+class _SummaryFold:
+    """The run summary, built up from a sweep's chunks in L/E order.
+
+    Counts that compare neighbouring rows (grid-local extrema, kinks) look at
+    each chunk behind the last two rows of the chunks before it.  A running
+    minimum or maximum is replaced only by a strictly better one, so a tie
+    keeps the first row, as ``argmin`` and ``argmax`` do.
+    """
+
+    def __init__(self, both):
+        self.tail = np.empty((0, len(CSV_COLUMNS)))
+        self.minima = self.maxima = self.kinks = 0
+        self.margin, self.margin_le = math.inf, 0.0
+        self.discrepancy = np.full(len(CSV_COLUMNS), -np.inf) if both else None
+        self.discrepancy_le = np.zeros(len(CSV_COLUMNS))
+
+    def add(self, rows, generic=None):
+        """Fold in one chunk's emitted rows; returns them behind the carried rows."""
+        window = np.concatenate([self.tail, rows])
+        minima, maxima = _grid_local_extrema(window[:, _GMC])
+        self.minima += minima
+        self.maxima += maxima
+        # switches between carried rows were counted with the chunk before
+        arg = window[max(len(self.tail) - 1, 0):, _EDGES].argmin(axis=1)
+        self.kinks += int(np.sum(arg[1:] != arg[:-1]))
+        margin = rows[:, _FILL] - rows[:, _GMC]
+        worst = int(np.argmin(margin))
+        if margin[worst] < self.margin:
+            self.margin, self.margin_le = float(margin[worst]), float(rows[worst, 0])
+        if generic is not None:
+            diff = np.abs(rows - generic)
+            worst = diff.argmax(axis=0)
+            peak = diff[worst, np.arange(diff.shape[1])]
+            better = peak > self.discrepancy
+            self.discrepancy = np.where(better, peak, self.discrepancy)
+            self.discrepancy_le = np.where(better, rows[worst, 0], self.discrepancy_le)
+        self.tail = window[-2:]
+        return window
+
+    def summary(self, config):
+        summary = {
+            "points": int(config.points),
+            "path": config.path,
+            "gmc_grid_local_minima": self.minima,
+            "gmc_grid_local_maxima": self.maxima,
+            "gmc_kinks": self.kinks,
+            "min_fill_minus_gmc": self.margin,
+            "min_fill_minus_gmc_le": self.margin_le,
+        }
+        if self.discrepancy is not None:
+            summary["max_path_discrepancy"] = float(self.discrepancy.max())
+            summary["path_discrepancy_by_column"] = {
+                name: {"max": float(self.discrepancy[j]), "le": float(self.discrepancy_le[j])}
+                for j, name in enumerate(CSV_COLUMNS) if j > 0
+            }
+        return summary
+
+
 def _lap(start):
     """Seconds since ``start`` and the clock reading that ends the lap."""
     now = time.perf_counter()
     return now - start, now
 
 
-def run_sweep(config, params=None):
-    """Evaluate the configured sweep; rows are ordered by L/E ascending.
+def run_sweep(config, params=None, sink=None):
+    """Evaluate the configured sweep in chunks of ``SWEEP_CHUNK`` rows, by L/E ascending.
 
-    With path "both" the closed-form values are the ones serialized and the
+    Each chunk goes through each route's measure table and is folded into
+    the run summary.  With a ``sink``, each chunk is then handed over as
+    ``sink(rows, window)``: ``rows`` are the chunk's emitted rows and
+    ``window`` the same rows behind the last (up to) two rows before them,
+    for anything that needs neighbours (the slopes); the result then holds
+    no tables.  Without one, the result's tables are the chunks joined.
+
+    With path "both" the closed-form values are the ones emitted and the
     run summary carries the max per-column discrepancy against the generic
     route.  ``summary["stage_s"]`` holds the seconds spent on the grid, on
-    each route's measure table and on the summary.
+    each route's measure tables, on the summary and, with a sink, in it
+    ("write"), each summed over the chunks.
     """
     config.validate()
     if params is None:
         params = config.load_params()
-    stage_s = {}
+    routes = [path for path in measures.PATHS if config.path in (path, "both")]
+    stages = ["grid", *routes, "summary"] + (["write"] if sink is not None else [])
+    stage_s = dict.fromkeys(stages, 0.0)
     clock = time.perf_counter()
     le = config.grid()
     stage_s["grid"], clock = _lap(clock)
-    closed = generic = None
-    if config.path in ("closed-form", "both"):
-        closed = measures.table(params, config.initial, le)
-        stage_s["closed-form"], clock = _lap(clock)
-    if config.path in ("generic", "both"):
-        generic = measures.table(params, config.initial, le, path="generic")
-        stage_s["generic"], clock = _lap(clock)
-    table = closed if closed is not None else generic
-    summary = {"points": int(config.points), "path": config.path}
-    gmc_col = table[:, CSV_COLUMNS.index("gmc")]
-    minima, maxima = _grid_local_extrema(gmc_col)
-    summary["gmc_grid_local_minima"] = minima
-    summary["gmc_grid_local_maxima"] = maxima
-    edge_cols = table[:, CSV_COLUMNS.index("edge_a"):CSV_COLUMNS.index("edge_c") + 1]
-    arg = edge_cols.argmin(axis=1)
-    summary["gmc_kinks"] = int(np.sum(arg[1:] != arg[:-1]))
-    fill_col = table[:, CSV_COLUMNS.index("fill")]
-    margin = fill_col - gmc_col
-    worst = int(np.argmin(margin))
-    summary["min_fill_minus_gmc"] = float(margin[worst])
-    summary["min_fill_minus_gmc_le"] = float(le[worst])
-    if config.path == "both":
-        diff = np.abs(closed - generic)
-        summary["max_path_discrepancy"] = float(np.max(diff))
-        worst = diff.argmax(axis=0)
-        summary["path_discrepancy_by_column"] = {
-            name: {"max": float(diff[i, j]), "le": float(le[i])}
-            for j, (name, i) in enumerate(zip(CSV_COLUMNS, worst)) if j > 0
-        }
-    stage_s["summary"], _ = _lap(clock)
+    u = oscillation.build_pmns(params)
+    fold = _SummaryFold(config.path == "both")
+    kept = []
+    for start in range(0, len(le), SWEEP_CHUNK):
+        tables = []
+        for path in routes:
+            tables.append(measures.table(params, config.initial, le[start:start + SWEEP_CHUNK],
+                                         path=path, u=u))
+            lap, clock = _lap(clock)
+            stage_s[path] += lap
+        window = fold.add(*tables)
+        lap, clock = _lap(clock)
+        stage_s["summary"] += lap
+        if sink is None:
+            kept.append(tables)
+            continue
+        sink(tables[0], window)
+        lap, clock = _lap(clock)
+        stage_s["write"] += lap
+    summary = fold.summary(config)
+    # the emitted table, then the generic one on path "both"; None when streamed
+    joined = [np.concatenate(chunks) for chunks in zip(*kept)] + [None, None]
+    lap, _ = _lap(clock)
+    stage_s["summary"] += lap
     summary["stage_s"] = stage_s
-    return SweepResult(config, le, table,
-                       generic if config.path == "both" else None, summary)
+    return SweepResult(config, le, joined[0], joined[1], summary)
 
 
 SLOPE_COLUMNS = ("le_km_per_GeV", "d_ggm", "d_three_pi", "d_gmc", "d_fill")
@@ -204,25 +291,41 @@ def format_number(x):
     return NUMBER_FORMAT % (x + 0.0)
 
 
-def _write_table(header, table, stream):
-    """Write a header line and the rows of ``table`` as ``format_number`` would.
+def _write_table(columns, table, stream, header):
+    """Write the rows of ``table`` as ``format_number`` would, after a header line if asked.
 
     Each block of ``WRITE_CHUNK`` rows is formatted by one ``%`` over a
     repeated line template, so the whole table is never held as text.
     """
-    stream.write(",".join(header) + "\n")
+    if header:
+        stream.write(",".join(columns) + "\n")
     line = ",".join([NUMBER_FORMAT] * table.shape[1]) + "\n"
     for start in range(0, len(table), WRITE_CHUNK):
         block = table[start:start + WRITE_CHUNK] + 0.0
         stream.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_slopes(result, stream):
-    _write_table(SLOPE_COLUMNS, slope_table(result), stream)
+def write_slopes(result, stream, header=True):
+    _write_table(SLOPE_COLUMNS, slope_table(result), stream, header)
 
 
-def write_csv(result, stream):
-    _write_table(CSV_COLUMNS, result.table, stream)
+def write_csv(result, stream, header=True):
+    _write_table(CSV_COLUMNS, result.table, stream, header)
+
+
+def csv_sink(config, csv, slopes=None):
+    """A ``run_sweep`` sink writing the CSV to ``csv`` and the slopes to ``slopes``.
+
+    Each chunk is written as it arrives, through ``write_csv`` and
+    ``write_slopes``; the headers go out with the first chunk, the one
+    chunk that comes without carried rows.
+    """
+    def sink(rows, window):
+        header = len(window) == len(rows)
+        write_csv(SweepResult(config, rows[:, 0], rows, None), csv, header)
+        if slopes is not None:
+            write_slopes(SweepResult(config, window[:, 0], window, None), slopes, header)
+    return sink
 
 
 def summary_lines(result):

@@ -62,6 +62,11 @@ class TestParams:
         with pytest.raises(ValueError, match="unknown"):
             OscillationParams.from_dict({"theta99": 1.0})
 
+    @pytest.mark.parametrize("value", [None, "33.0", True, [33.0]])
+    def test_from_dict_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match="theta12 must be a real number"):
+            OscillationParams.from_dict({"theta12": value})
+
     def test_from_json(self, tmp_path):
         f = tmp_path / "params.json"
         f.write_text(json.dumps({"delta_cp": 30.0}))

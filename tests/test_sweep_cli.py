@@ -16,7 +16,7 @@ from trinu import (
     triangle_record,
 )
 from trinu import sweep
-from trinu.cli import load_preset, main
+from trinu.cli import build_parser, load_preset, main
 from trinu.sweep import (
     CSV_COLUMNS,
     SLOPE_COLUMNS,
@@ -82,6 +82,12 @@ class TestConfig:
         (dict(le_min=0.0, scale="log"), "le_min"),
         (dict(points=1), "points"),
         (dict(points=10 ** 7 + 1), "points"),
+        (dict(points=1000.5), "points"),
+        (dict(points=True), "points"),
+        (dict(points="10"), "points"),
+        (dict(le_min="a"), "le_min"),
+        (dict(le_max=None), "le_max"),
+        (dict(params_file=5), "params_file"),
     ])
     def test_field_specific_errors(self, kw, field):
         with pytest.raises(ConfigError) as err:
@@ -288,6 +294,137 @@ class TestRunSweep:
         result = run_sweep(small_config(points=101))
         slopes = slope_table(result)
         assert slopes.shape == (99, 5)
+
+
+#: Grids small enough to run in chunks of one row, with gmc kinks and
+#: grid-local gmc extrema on the first or last row of a 3-row chunk.
+STREAM_GRID_POINTS = 61
+
+
+def sweep_outputs(tmp_path, capsys, argv):
+    """CSV (to a file and to stdout), slopes and stderr summary lines of a sweep."""
+    csv, slopes = tmp_path / "sweep.csv", tmp_path / "slopes.csv"
+    assert main(argv + ["--output", str(csv), "--slopes", str(slopes)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("stage times (s): ")
+    assert main(argv) == 0
+    return csv.read_bytes(), capsys.readouterr().out.encode(), slopes.read_bytes(), err[:-1]
+
+
+def gmc_extrema_rows(table):
+    gmc = table[:, CSV_COLUMNS.index("gmc")]
+    inner = gmc[1:-1]
+    local = ((inner < gmc[:-2]) & (inner < gmc[2:])) | ((inner > gmc[:-2]) & (inner > gmc[2:]))
+    return np.nonzero(local)[0] + 1
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("chunk", [1, 3, STREAM_GRID_POINTS + 1])
+    @pytest.mark.parametrize("path", sweep.PATHS)
+    @pytest.mark.parametrize("preset", ["electron", "muon"])
+    def test_chunk_size_changes_no_output(self, tmp_path, capsys, monkeypatch,
+                                          preset, path, chunk):
+        argv = ["sweep", "--preset", preset, "--path", path,
+                "--points", str(STREAM_GRID_POINTS)]
+        cfg = load_preset(preset)
+        cfg.path, cfg.points = path, STREAM_GRID_POINTS
+        assert sweep.SWEEP_CHUNK >= STREAM_GRID_POINTS
+        whole = run_sweep(cfg)
+        expected = sweep_outputs(tmp_path, capsys, argv)
+        assert whole.summary["gmc_kinks"] > 0
+        assert any(i % 3 != 1 for i in gmc_extrema_rows(whole.table))
+
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", chunk)
+        chunked = run_sweep(cfg)
+        assert sweep_outputs(tmp_path, capsys, argv) == expected
+        assert np.array_equal(chunked.table, whole.table)
+        if path == "both":
+            assert np.array_equal(chunked.generic_table, whole.generic_table)
+        del whole.summary["stage_s"], chunked.summary["stage_s"]
+        assert chunked.summary == whole.summary
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_summary_ties_keep_the_first_row(self, chunk):
+        # few distinct values, so minima, maxima and their ties span chunks
+        rng = np.random.default_rng(0)
+        n = 40
+        table = rng.integers(0, 3, size=(n, len(CSV_COLUMNS))).astype(float)
+        table[:, 0] = np.arange(n, dtype=float)
+        generic = table + rng.integers(0, 2, size=table.shape)
+        generic[:, 0] = table[:, 0]
+
+        def folded(step):
+            fold = sweep._SummaryFold(both=True)
+            for i in range(0, n, step):
+                fold.add(table[i:i + step], generic[i:i + step])
+            return fold.summary(small_config(points=n, path="both"))
+
+        summary = folded(chunk)
+        assert summary == folded(n)
+        column = {name: table[:, i] for i, name in enumerate(CSV_COLUMNS)}
+        margin = column["fill"] - column["gmc"]
+        assert summary["min_fill_minus_gmc_le"] == np.argmin(margin)
+        diff = np.abs(table - generic)
+        for j, name in enumerate(CSV_COLUMNS[1:], start=1):
+            assert summary["path_discrepancy_by_column"][name]["le"] == np.argmax(diff[:, j])
+        arg = table[:, 8:].argmin(axis=1)
+        assert summary["gmc_kinks"] == np.sum(arg[1:] != arg[:-1])
+
+    def test_cli_table_calls_stay_within_a_chunk(self, tmp_path, monkeypatch):
+        rows = []
+        table = measures.table
+
+        def counting_table(params, initial, le, *args, **kwargs):
+            rows.append(len(le))
+            return table(params, initial, le, *args, **kwargs)
+
+        monkeypatch.setattr(measures, "table", counting_table)
+        points = 2 * sweep.SWEEP_CHUNK + 5
+        assert main(["sweep", "--preset", "electron", "--path", "both",
+                     "--points", str(points), "--output", str(tmp_path / "s.csv"),
+                     "--slopes", str(tmp_path / "slopes.csv")]) == 0
+        assert max(rows) <= sweep.SWEEP_CHUNK
+        assert sum(rows) == 2 * points
+
+    def test_streamed_result_holds_no_table(self):
+        result = run_sweep(small_config(), sink=lambda rows, window: None)
+        assert result.table is None and result.generic_table is None
+        assert list(result.summary["stage_s"]) == ["grid", "closed-form", "summary", "write"]
+
+    def test_sink_windows_carry_two_rows(self, monkeypatch):
+        whole = run_sweep(small_config(points=11)).table
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", 4)
+        seen = []
+        run_sweep(small_config(points=11), sink=lambda rows, window: seen.append((rows, window)))
+        assert [len(rows) for rows, _ in seen] == [4, 4, 3]
+        assert [len(window) for _, window in seen] == [4, 6, 5]
+        assert np.array_equal(np.concatenate([rows for rows, _ in seen]), whole)
+        assert np.array_equal(seen[1][1], whole[2:8])
+
+    def test_failed_sweep_leaves_no_files(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        table = measures.table
+
+        def failing_table(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("probability 1.5 outside [0, 1] beyond tolerance")
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "table", failing_table)
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", 16)
+        csv, slopes = tmp_path / "s.csv", tmp_path / "slopes.csv"
+        assert main(["sweep", "--points", "51", "--output", str(csv),
+                     "--slopes", str(slopes)]) == 2
+        assert "probability 1.5" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not csv.exists() and not slopes.exists()
+
+    def test_unwritable_slopes_leave_no_csv(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", "--points", "51", "--output", str(csv),
+                     "--slopes", str(tmp_path / "no" / "slopes.csv")]) == 3
+        assert not csv.exists()
 
 
 class TestFindExtremum:
@@ -527,6 +664,30 @@ class TestCli:
         pfile.write_text('{"dm2_21": NaN}')
         assert main(["triangle", "--le", "4.61", "--params", str(pfile)]) == 2
         assert "dm2_21 must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("points", 1000.5), ("points", 1e3), ("points", "10"),
+        ("le_min", "a"), ("le_max", None),
+    ])
+    def test_mistyped_config_field_exit_code(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mistyped_params_field_exit_code(self, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        pfile.write_text('{"theta12": null}')
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--points", "51", "--params", str(pfile),
+                     "--output", str(out)]) == 2
+        assert "theta12 must be a real number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_triangle_unit_conversion(self, capsys):
         assert main(["triangle", "--initial", "e", "--le", "4.61",
