@@ -6,8 +6,7 @@ import numpy as np
 def eigvalsh_small(h):
     """Ascending eigenvalues of a complex Hermitian matrix or a stack of them.
 
-    ``h`` has shape (..., n, n); the result has shape (..., n).  Any
-    sub-tolerance Hermiticity defect of the input is symmetrized away first.
+    ``h`` has shape (..., n, n); the result has shape (..., n).  Only the
+    lower triangle is read, so ``h`` must already be Hermitian.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    return np.linalg.eigvalsh(0.5 * (h + np.swapaxes(h, -1, -2).conj()))
+    return np.linalg.eigvalsh(h)

@@ -32,7 +32,7 @@ def check_hermitian(m, tol=HERMITICITY_TOL):
     """Raise ``ValueError`` if ``m`` (one matrix or a stack) deviates from
     Hermiticity by more than ``tol``."""
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # NaN fails too
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}"
         )
@@ -43,13 +43,34 @@ def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
 
     ``m`` is one (n, n) matrix or a stack of shape (..., n, n); a stack is
     solved in one batched call.  Raises ``ValueError`` if any input deviates
-    from Hermiticity by more than ``tol``.
+    from Hermiticity by more than ``tol``; a smaller defect is symmetrized
+    away before the solve.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     check_hermitian(m, tol)
-    return eigvalsh_small(m)
+    return eigvalsh_small(0.5 * (m + np.swapaxes(m, -1, -2).conj()))
+
+
+def check_psd(m, tol=PSD_TOL):
+    """Raise ``ValueError`` unless every eigenvalue of ``m`` exceeds ``-tol``.
+
+    ``m`` is one Hermitian (n, n) matrix or a stack of shape (..., n, n);
+    only its lower triangle is read, so check Hermiticity first.  The test
+    is one batched Cholesky factorization of ``m + tol * I``, which exists
+    exactly when the smallest eigenvalue of ``m`` is above ``-tol``.  The
+    eigenvalues are computed only to report a failure.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    try:
+        # numpy returns NaN factors, rather than raising, for NaN input
+        factored = np.isfinite(np.linalg.cholesky(m + tol * np.eye(m.shape[-1]))).all()
+    except np.linalg.LinAlgError:
+        factored = False
+    if not factored:
+        w = eigvalsh_small(m)[..., 0].min() if np.isfinite(m).all() else np.nan
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w:.3e} is below {-tol:.1e}")
 
 
 def _qubit_axes(keep):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, tristate
+from ._backend import eigvalsh_small
 from .oscillation import (
     ProbabilityTriple,
     amplitude_array,
@@ -238,24 +239,36 @@ def negativity(rho, on=0):
     """Trace-norm deficit ||rho^T||_1 - 1 of a two-qubit partial transpose.
 
     ``rho`` is one 4x4 density matrix, giving a float, or a (..., 4, 4)
-    stack, giving an array of shape (...).
+    stack, giving an array of shape (...).  Every matrix must be Hermitian
+    and positive semidefinite, both within the ``linalg`` tolerances.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    w = linalg.hermitian_eigenvalues(rho)
-    if np.any(w[..., 0] < -linalg.PSD_TOL):
-        raise ValueError(
-            f"negativity input is not PSD: min eigenvalue {w[..., 0].min():.3e}"
-        )
-    wt = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho, on))
-    n = _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
+    linalg.check_hermitian(rho)
+    n = _negativity(rho, on)
     return float(n) if n.ndim == 0 else n
+
+
+def _negativity(rho, on=0):
+    """``negativity`` of a complex stack known to be Hermitian."""
+    linalg.check_psd(rho)
+    wt = eigvalsh_small(linalg.partial_transpose(rho, on))
+    return _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
 
 
 def _generic_chunk(amps):
     rho = tristate.density(amps)
-    # one check covers all six reductions: they inherit rho's Hermiticity
+    # the one Hermiticity check: every reduction and partial transpose below
+    # inherits it, so none is checked or symmetrized again
     linalg.check_hermitian(rho)
-    singles = np.stack([linalg._partial_trace(rho, q) for q in linalg.QUBITS], axis=-3)
+    pairs = np.stack([linalg._partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
+                     axis=-3)
+    # rho_A and rho_B are partial traces of rho_AB, rho_C one of rho_AC
+    ab, ac = pairs[..., 0, :, :], pairs[..., 1, :, :]
+    singles = np.stack([
+        ab[..., 0::2, 0::2] + ab[..., 1::2, 1::2],
+        ab[..., :2, :2] + ab[..., 2:, 2:],
+        ac[..., :2, :2] + ac[..., 2:, 2:],
+    ], axis=-3)
     # the edge 2[1 - Tr(rho_X^2)] as 4 det(rho_X): the same quantity for a
     # unit-trace 2x2 matrix, but free of the cancellation that 1 - Tr(rho^2)
     # suffers near product states
@@ -263,10 +276,11 @@ def _generic_chunk(amps):
            - singles[..., 0, 1] * singles[..., 1, 0]).real
     edges = _snap(4.0 * det)
     check_triangles(edges)
-    lam = linalg.hermitian_eigenvalues(singles)[..., -1].max(axis=-1)
-    pairs = np.stack([linalg._partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
-                     axis=-3)
-    n_ab, n_ac, n_bc = np.moveaxis(negativity(pairs) ** 2, -1, 0)
+    # largest eigenvalue of each 2x2 Hermitian [[a, b*], [b, d]]:
+    # (a + d)/2 + hypot((a - d)/2, |b|)
+    a, d = singles[..., 0, 0].real, singles[..., 1, 1].real
+    lam = ((a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(singles[..., 1, 0]))).max(axis=-1)
+    n_ab, n_ac, n_bc = np.moveaxis(_negativity(pairs) ** 2, -1, 0)
     pi_a = edges[..., 0] - n_ab - n_ac
     pi_b = edges[..., 1] - n_ab - n_bc
     pi_c = edges[..., 2] - n_ac - n_bc
@@ -285,9 +299,12 @@ def generic_measures(amps):
     ``amps`` holds W-class amplitudes (a_e, a_mu, a_tau) on the rows of an
     (n, 3) array.  Returns (ggm, three_pi, gmc, fill) as an (n, 4) array and
     the triangle edges as an (n, 3) array.  The states are processed in
-    batches of ``GENERIC_CHUNK``: per batch, one stack of density matrices,
-    its partial traces and transposes, and one batched eigensolve per kind
-    of reduction.
+    batches of ``GENERIC_CHUNK``.  Per batch: one stack of density matrices
+    with one Hermiticity check; its three two-qubit reductions, from which
+    the single-qubit reductions are summed; the largest eigenvalue of each
+    2x2 reduction in closed form; a batched Cholesky PSD test of the
+    two-qubit reductions; and one batched eigensolve of their partial
+    transposes.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 3:

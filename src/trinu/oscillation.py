@@ -4,6 +4,11 @@ Angles are taken in degrees, mass-squared splittings in eV^2, and the
 kinematic variable is L/E in km/GeV throughout.  The phase constant 1.27 is
 used exactly as conventionally printed, so plots line up with the standard
 literature curves.
+
+The amplitude is sum_k U_ak exp(-i phi_k) U*_bk with the PDG mixing matrix
+of ``build_pmns`` (U_e3 = s13 exp(-i delta)).  That is the *antineutrino*
+amplitude; the neutrino amplitude takes U* in place of U, which amounts to
+delta -> -delta.  At delta_cp = 0, the default, the two coincide.
 """
 
 import json

@@ -37,13 +37,6 @@ class TripartiteState:
         """Excitation probability of each qubit (A, B, C)."""
         return tuple(abs(a) ** 2 for a in self.amplitudes())
 
-    def vector(self):
-        """The state as a length-8 complex vector."""
-        v = np.zeros(8, dtype=np.complex128)
-        for idx, amp in zip(OCCUPATION_INDICES, self.amplitudes()):
-            v[idx] = amp
-        return v
-
 
 def make_state(amps):
     """Build a TripartiteState from FlavorAmplitudes or a 3-tuple of amplitudes."""

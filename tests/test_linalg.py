@@ -163,3 +163,60 @@ class TestPartialTranspose:
         assert pt.shape == stack.shape
         for idx in np.ndindex(3, 2):
             assert np.array_equal(pt[idx], linalg.partial_transpose(stack[idx], on))
+
+
+def random_unitary(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(a)[0]
+
+
+def hermitian_with_spectrum(rng, spectrum):
+    u = random_unitary(rng, len(spectrum))
+    m = (u * np.asarray(spectrum)) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+class TestCheckPsd:
+    # smallest eigenvalue a relative 1e-3 inside or outside the floor: far
+    # beyond the ~1e-15 rounding of building and factoring a unit-norm matrix
+    @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
+    def test_boundary(self, rng, factor, passes):
+        for _ in range(20):
+            lam_min = -linalg.PSD_TOL * factor
+            m = hermitian_with_spectrum(rng, [lam_min, *rng.dirichlet(np.ones(3))])
+            assert np.linalg.eigvalsh(m)[0] == pytest.approx(lam_min, rel=1e-5)
+            if passes:
+                linalg.check_psd(m)
+            else:
+                with pytest.raises(ValueError, match="PSD"):
+                    linalg.check_psd(m)
+
+    @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
+    def test_boundary_inside_a_stack(self, rng, factor, passes):
+        spectra = rng.dirichlet(np.ones(4), size=(2, 3))
+        spectra[1, 2, 0] = -linalg.PSD_TOL * factor
+        stack = np.stack([hermitian_with_spectrum(rng, s) for s in spectra.reshape(-1, 4)])
+        stack = stack.reshape(2, 3, 4, 4)
+        if passes:
+            linalg.check_psd(stack)
+        else:
+            with pytest.raises(ValueError, match="PSD"):
+                linalg.check_psd(stack)
+
+    def test_reports_the_smallest_eigenvalue(self):
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([1.5, -0.5]), np.diag([1.2, -0.2])])
+        with pytest.raises(ValueError, match=r"min eigenvalue -5\.000e-01"):
+            linalg.check_psd(stack)
+
+    def test_accepts_singular_density_matrices(self):
+        linalg.check_psd(linalg.partial_trace(density(W), "AB"))
+        linalg.check_psd(np.zeros((4, 4)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="PSD"):
+            linalg.check_psd(np.diag([1.0, np.nan, 0.0, 0.0]))
+
+
+def test_check_hermitian_rejects_nan():
+    with pytest.raises(ValueError, match="asymmetry"):
+        linalg.check_hermitian(np.full((2, 2), np.nan))

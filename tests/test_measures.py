@@ -235,6 +235,70 @@ class TestGenericMeasures:
             "edge 0.25 violates the triangle inequality against (0.1, 0.25, 0.1)")
 
 
+#: Needle-like triangles: the two largest edges nearly equal, the third tiny.
+NEEDLE_AMPLITUDES = (
+    (0.6594896186777208, 0.751713670792484, 5.898654471275196e-08),
+    (0.9428090415820591, 0.33333333333333187, 9.428090415820592e-08),
+)
+
+
+def snap(x):
+    return np.maximum(np.where(np.abs(x) < measures.VALUE_SNAP, 0.0, x), 0.0)
+
+
+def reference_row(amps):
+    """(ggm, three_pi, gmc, fill) and edges of one state, one reduction at a time.
+
+    Every reduction is an ``einsum`` trace of the 8x8 density matrix and
+    every spectrum comes from the public ``hermitian_eigenvalues`` and
+    ``negativity``.
+    """
+    rho = density(amps)
+    singles = [linalg.partial_trace(rho, q) for q in "ABC"]
+    edges = snap(np.array([4.0 * (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]).real
+                           for s in singles]))
+    lam = max(linalg.hermitian_eigenvalues(s)[-1] for s in singles)
+    n_sq = {pair: negativity(linalg.partial_trace(rho, pair)) ** 2
+            for pair in ("AB", "AC", "BC")}
+    pi_a = edges[0] - n_sq["AB"] - n_sq["AC"]
+    pi_b = edges[1] - n_sq["AB"] - n_sq["BC"]
+    pi_c = edges[2] - n_sq["AC"] - n_sq["BC"]
+    values = [snap(1.0 - lam), snap((pi_a + pi_b + pi_c) / 3.0),
+              snap(edges.min()), heron_fill(edges)]
+    return np.array(values, dtype=np.float64), edges
+
+
+class TestGenericRoute:
+    """The batched generic route against a state-by-state reference."""
+
+    @staticmethod
+    def assert_matches_reference(amps):
+        values, edges = measures.generic_measures(amps)
+        for row, tri, a in zip(values, edges, amps):
+            ref_values, ref_edges = reference_row(a)
+            # edges, gmc and fill bit for bit; ggm and three_pi to rounding
+            assert np.array_equal(tri, ref_edges)
+            assert np.array_equal(row[2:], ref_values[2:])
+            assert np.max(np.abs(row[:2] - ref_values[:2])) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(w_class_states(), min_size=1, max_size=6))
+    def test_random_w_states(self, states):
+        self.assert_matches_reference(np.array([s.amplitudes() for s in states]))
+
+    def test_needles(self):
+        self.assert_matches_reference(np.array(NEEDLE_AMPLITUDES, dtype=np.complex128))
+
+    def test_near_product_states(self, rng):
+        p_min = np.concatenate([[1e-12], 10.0 ** rng.uniform(-12.0, -3.0, 299)])
+        probs = rng.dirichlet(np.ones(2), size=300) * (1.0 - p_min)[:, None]
+        probs = np.column_stack([probs, p_min])
+        # put the smallest probability on each qubit in turn
+        probs = np.stack([np.roll(p, i % 3) for i, p in enumerate(probs)])
+        amps = np.sqrt(probs) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, probs.shape))
+        self.assert_matches_reference(amps)
+
+
 class TestClosedFormInvariants:
     @settings(max_examples=200, deadline=None)
     @given(w_class_states())

@@ -191,3 +191,51 @@ class TestProbabilities:
         p = probability_array(params, "e", le)
         assert np.all(p >= -1e-12)
         assert np.all(p <= 1.0 + 1e-12)
+
+
+def pdg_probability(params, a, b, le, antineutrino):
+    """P(a -> b) from the PDG vacuum formula, written out apart from trinu.
+
+    PDG's mixing matrix has U_e3 = s13 e^{-i delta}.  The neutrino
+    probability is delta_ab - 4 sum_{i>j} Re(X_ij) sin^2(x_ij)
+    + 2 sum_{i>j} Im(X_ij) sin(2 x_ij), with X_ij = U*_ai U_bi U_aj U*_bj and
+    x_ij = 1.27 dm2_ij L/E; the antineutrino flips the sign of the Im term.
+    """
+    s12, c12 = math.sin(math.radians(params.theta12)), math.cos(math.radians(params.theta12))
+    s23, c23 = math.sin(math.radians(params.theta23)), math.cos(math.radians(params.theta23))
+    s13, c13 = math.sin(math.radians(params.theta13)), math.cos(math.radians(params.theta13))
+    e = complex(math.cos(math.radians(params.delta_cp)), math.sin(math.radians(params.delta_cp)))
+    u = [
+        [c12 * c13, s12 * c13, s13 / e],
+        [-s12 * c23 - c12 * s23 * s13 * e, c12 * c23 - s12 * s23 * s13 * e, s23 * c13],
+        [s12 * s23 - c12 * c23 * s13 * e, -c12 * s23 - s12 * c23 * s13 * e, c23 * c13],
+    ]
+    splittings = {(1, 0): params.dm2_21, (2, 0): params.dm2_31, (2, 1): params.dm2_32}
+    sign = -1.0 if antineutrino else 1.0
+    p = 1.0 if a == b else 0.0
+    for (i, j), dm2 in splittings.items():
+        x = u[a][i].conjugate() * u[b][i] * u[a][j] * u[b][j].conjugate()
+        arg = 1.27 * dm2 * le
+        p += -4.0 * x.real * math.sin(arg) ** 2 + sign * 2.0 * x.imag * math.sin(2.0 * arg)
+    return p
+
+
+class TestParticle:
+    """trinu's amplitude with the PDG matrix is the antineutrino amplitude."""
+
+    def test_mu_to_e_is_the_antineutrino_probability(self):
+        params = OscillationParams(delta_cp=-90.0)
+        p_mu_e = probabilities(params, "mu", 500.0).p_e
+        expected = pdg_probability(params, 1, 0, 500.0, antineutrino=True)
+        assert expected == pytest.approx(0.0270942, abs=5e-8)
+        assert p_mu_e == pytest.approx(expected, abs=1e-12)
+        # the neutrino value differs by a factor of about two
+        neutrino = pdg_probability(params, 1, 0, 500.0, antineutrino=False)
+        assert neutrino == pytest.approx(0.0522735, abs=5e-8)
+
+    def test_opposite_phase_gives_the_neutrino_value(self):
+        p_mu_e = probabilities(OscillationParams(delta_cp=90.0), "mu", 500.0).p_e
+        assert p_mu_e == pytest.approx(0.0522735, abs=5e-8)
+        neutrino = pdg_probability(OscillationParams(delta_cp=-90.0), 1, 0, 500.0,
+                                   antineutrino=False)
+        assert p_mu_e == pytest.approx(neutrino, abs=1e-12)

@@ -16,13 +16,13 @@ class TestMakeState:
         ((0.0, 0.0, 1.0), 1),
     ])
     def test_basis_embedding(self, amps, index):
-        v = make_state(amps).vector()
-        assert v[index] == 1.0
-        assert np.count_nonzero(v) == 1
+        rho = density(make_state(amps))
+        assert rho[index, index] == 1.0
+        assert np.count_nonzero(rho) == 1
 
     def test_w_state(self):
-        v = make_state((1 / np.sqrt(3),) * 3).vector()
-        assert np.allclose(v[list(OCCUPATION_INDICES)], 1 / np.sqrt(3))
+        rho = density(make_state((1 / np.sqrt(3),) * 3))
+        assert np.allclose(np.diag(rho)[list(OCCUPATION_INDICES)], 1 / 3)
 
     def test_from_flavor_amplitudes(self):
         a = amplitudes(OscillationParams(), "mu", 321.0)
