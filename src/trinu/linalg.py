@@ -53,24 +53,22 @@ def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
     return eigvalsh_small(0.5 * (m + np.swapaxes(m, -1, -2).conj()))
 
 
-def check_psd(m, tol=PSD_TOL):
-    """Raise ``ValueError`` unless every eigenvalue of ``m`` exceeds ``-tol``.
+def _check_psd(m):
+    """Raise ``ValueError`` unless every eigenvalue of ``m`` exceeds ``-PSD_TOL``.
 
-    ``m`` is one Hermitian (n, n) matrix or a stack of shape (..., n, n);
-    only its lower triangle is read, so check Hermiticity first.  The test
-    is one batched Cholesky factorization of ``m + tol * I``, which exists
-    exactly when the smallest eigenvalue of ``m`` is above ``-tol``.  The
-    eigenvalues are computed only to report a failure.
+    ``m`` is an (..., n, n) stack already checked to be Hermitian (and
+    so finite) with ``check_hermitian``; only its lower triangle is read.  The
+    test is one batched Cholesky factorization of ``m + PSD_TOL * I``, which
+    exists exactly when the smallest eigenvalue of ``m`` is above
+    ``-PSD_TOL``.  The eigenvalues are computed only to report a failure.
     """
-    m = np.asarray(m, dtype=np.complex128)
     try:
-        # numpy returns NaN factors, rather than raising, for NaN input
-        factored = np.isfinite(np.linalg.cholesky(m + tol * np.eye(m.shape[-1]))).all()
+        np.linalg.cholesky(m + PSD_TOL * np.eye(m.shape[-1]))
     except np.linalg.LinAlgError:
-        factored = False
-    if not factored:
-        w = eigvalsh_small(m)[..., 0].min() if np.isfinite(m).all() else np.nan
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w:.3e} is below {-tol:.1e}")
+        w = eigvalsh_small(m)[..., 0].min()
+        raise ValueError(
+            f"matrix is not PSD: min eigenvalue {w:.3e} is below {-PSD_TOL:.1e}"
+        ) from None
 
 
 def _qubit_axes(keep):

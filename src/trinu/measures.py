@@ -250,7 +250,7 @@ def negativity(rho, on=0):
 
 def _negativity(rho, on=0):
     """``negativity`` of a complex stack known to be Hermitian."""
-    linalg.check_psd(rho)
+    linalg._check_psd(rho)
     wt = eigvalsh_small(linalg.partial_transpose(rho, on))
     return _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
 

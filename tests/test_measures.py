@@ -130,6 +130,10 @@ class TestNegativity:
         with pytest.raises(ValueError, match="PSD"):
             negativity(rhos)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            negativity(np.diag([1.0, np.nan, 0.0, 0.0]))
+
 
 class TestThreePi:
     def test_w_state(self):
@@ -246,19 +250,27 @@ def snap(x):
     return np.maximum(np.where(np.abs(x) < measures.VALUE_SNAP, 0.0, x), 0.0)
 
 
+def reference_negativity(rho_pair):
+    assert np.linalg.eigvalsh(rho_pair)[0] > -linalg.PSD_TOL
+    wt = np.linalg.eigvalsh(linalg.partial_transpose(rho_pair))
+    return snap(-2.0 * wt[wt < 0.0].sum())
+
+
 def reference_row(amps):
     """(ggm, three_pi, gmc, fill) and edges of one state, one reduction at a time.
 
-    Every reduction is an ``einsum`` trace of the 8x8 density matrix and
-    every spectrum comes from the public ``hermitian_eigenvalues`` and
-    ``negativity``.
+    Every reduction is an ``einsum`` trace of the 8x8 density matrix.  The
+    spectra come from ``hermitian_eigenvalues`` and from direct
+    ``np.linalg.eigvalsh`` calls, not from ``negativity``, so the route's
+    PSD test and partial-transpose eigensolve are checked against code they
+    do not share.
     """
     rho = density(amps)
     singles = [linalg.partial_trace(rho, q) for q in "ABC"]
     edges = snap(np.array([4.0 * (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]).real
                            for s in singles]))
     lam = max(linalg.hermitian_eigenvalues(s)[-1] for s in singles)
-    n_sq = {pair: negativity(linalg.partial_trace(rho, pair)) ** 2
+    n_sq = {pair: reference_negativity(linalg.partial_trace(rho, pair)) ** 2
             for pair in ("AB", "AC", "BC")}
     pi_a = edges[0] - n_sq["AB"] - n_sq["AC"]
     pi_b = edges[1] - n_sq["AB"] - n_sq["BC"]
