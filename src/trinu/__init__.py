@@ -15,12 +15,10 @@ from .measures import (
     ggm,
     gmc,
     negativity,
-    one_to_other_concurrences,
     report,
     three_pi,
 )
 from .oscillation import (
-    FlavorAmplitudes,
     OscillationParams,
     ProbabilityTriple,
     amplitudes,
@@ -36,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConcurrenceTriangle",
     "ExtremumRecord",
-    "FlavorAmplitudes",
     "MeasureReport",
     "OscillationParams",
     "ProbabilityTriple",
@@ -51,7 +48,6 @@ __all__ = [
     "gmc",
     "make_state",
     "negativity",
-    "one_to_other_concurrences",
     "probabilities",
     "probability_matrix",
     "report",

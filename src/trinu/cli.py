@@ -141,7 +141,7 @@ def _cmd_sweep(args):
     with contextlib.ExitStack() as stack:
         csv = stack.enter_context(_open_output(config.output))
         slopes = stack.enter_context(_open_output(args.slopes)) if args.slopes else None
-        result = sweep.run_sweep(config, params, sink=sweep.csv_sink(config, csv, slopes))
+        result = sweep.run_sweep(config, params, sink=sweep.csv_sink(csv, slopes))
     for line in sweep.summary_lines(result):
         print(line, file=sys.stderr)
     stage_s = result.summary["stage_s"]

@@ -19,37 +19,30 @@ PSD_TOL = 1e-10
 QUBITS = "ABC"
 
 
-def hermiticity_defect(m):
-    """Largest absolute deviation of ``m`` from its conjugate transpose.
-
-    For a stack of shape (..., n, n) this is the largest over the stack.
-    """
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
-
-
-def check_hermitian(m, tol=HERMITICITY_TOL):
+def check_hermitian(m):
     """Raise ``ValueError`` if ``m`` (one matrix or a stack) deviates from
-    Hermiticity by more than ``tol``."""
-    defect = hermiticity_defect(m)
-    if not defect <= tol:  # NaN fails too
+    Hermiticity, max|m - m^dagger| over the whole stack, by more than
+    ``HERMITICITY_TOL``."""
+    m = np.asarray(m)
+    defect = float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
+    if not defect <= HERMITICITY_TOL:  # NaN fails too
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
 
 
-def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
+def hermitian_eigenvalues(m):
     """All eigenvalues of a Hermitian matrix, ascending, shape (..., n).
 
     ``m`` is one (n, n) matrix or a stack of shape (..., n, n); a stack is
     solved in one batched call.  Raises ``ValueError`` if any input deviates
-    from Hermiticity by more than ``tol``; a smaller defect is symmetrized
-    away before the solve.
+    from Hermiticity by more than ``HERMITICITY_TOL``; a smaller defect is
+    symmetrized away before the solve.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    check_hermitian(m, tol)
+    check_hermitian(m)
     return eigvalsh_small(0.5 * (m + np.swapaxes(m, -1, -2).conj()))
 
 

@@ -167,39 +167,9 @@ def _closed_form(p):
     return np.stack([ggm, three_pi, gmc, fill], axis=-1), edges
 
 
-def triangle_edges_from_probs(p):
-    """Edges 4 P_x (P_y + P_z) of the concurrence triangle, shape (..., 3)."""
-    return _closed_form(p)[1]
-
-
 def measures_from_probs(p):
     """(ggm, three_pi, gmc, fill) stacked on the last axis, shape (..., 4)."""
     return _closed_form(p)[0]
-
-
-def _column(p, j):
-    """Column ``j`` of ``measures_from_probs``; a scalar for a single triple."""
-    return measures_from_probs(p)[..., j][()]
-
-
-def ggm_from_probs(p):
-    """1 minus the largest single-qubit Schmidt eigenvalue over all splits."""
-    return _column(p, 0)
-
-
-def three_pi_from_probs(p):
-    """Average residual negativity-squared of the three one-qubit focuses."""
-    return _column(p, 1)
-
-
-def gmc_from_probs(p):
-    """Shortest edge of the concurrence triangle (squared convention)."""
-    return _column(p, 2)
-
-
-def fill_from_probs(p):
-    """Concurrence fill via the explicit W-class product formula; 0 where gmc is."""
-    return _column(p, 3)
 
 
 @_one_row_as_stack
@@ -316,33 +286,27 @@ def generic_measures(amps):
 
 
 def _state_measures(state):
-    values, edges = generic_measures([state.amplitudes()])
-    return values[0].tolist(), ConcurrenceTriangle(*edges[0].tolist())
-
-
-def one_to_other_concurrences(state):
-    """Concurrence triangle of a pure state via single-qubit reductions."""
-    return _state_measures(state)[1]
+    return generic_measures([state.amplitudes()])[0][0].tolist()
 
 
 def ggm(state):
     """1 minus the largest eigenvalue among the three one-qubit reductions."""
-    return _state_measures(state)[0][0]
+    return _state_measures(state)[0]
 
 
 def three_pi(state):
     """Average of the three residual entanglements pi_A, pi_B, pi_C."""
-    return _state_measures(state)[0][1]
+    return _state_measures(state)[1]
 
 
 def gmc(state):
     """Shortest edge of the concurrence triangle (squared convention)."""
-    return _state_measures(state)[0][2]
+    return _state_measures(state)[2]
 
 
 def concurrence_fill(state):
     """Concurrence fill via Heron's formula on the generic triangle edges."""
-    return _state_measures(state)[0][3]
+    return _state_measures(state)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +337,12 @@ def table(params, initial, le, path="closed-form", u=None):
     return np.column_stack([le, probs, vals, edges])
 
 
-def report(params, initial, le, path="closed-form", u=None):
+def report(params, initial, le, path="closed-form"):
     """Probabilities plus all four measures at one L/E point (km/GeV).
 
     This is the one row of ``table`` at ``le``, so it equals the matching
     row of any sweep bit for bit.
     """
-    row = table(params, initial, np.array([le], dtype=np.float64), path=path, u=u)[0].tolist()
+    row = table(params, initial, np.array([le], dtype=np.float64), path=path)[0].tolist()
     return MeasureReport(row[0], ProbabilityTriple(*row[1:4]), *row[4:8],
                          triangle=ConcurrenceTriangle(*row[8:]), path=path)

@@ -94,20 +94,6 @@ class OscillationParams:
 
 
 @dataclass(frozen=True)
-class FlavorAmplitudes:
-    """Flavor-basis amplitudes of an evolved neutrino at one L/E point."""
-
-    initial: str
-    le: float
-    a_e: complex
-    a_mu: complex
-    a_tau: complex
-
-    def as_tuple(self):
-        return (self.a_e, self.a_mu, self.a_tau)
-
-
-@dataclass(frozen=True)
 class ProbabilityTriple:
     """(P_e, P_mu, P_tau) at one L/E point; clamped to [0, 1]."""
 
@@ -119,15 +105,15 @@ class ProbabilityTriple:
         return (self.p_e, self.p_mu, self.p_tau)
 
 
-def checked_probabilities(p, tol=1e-12):
+def checked_probabilities(p):
     """Validate probabilities (..., 3) and clamp them to [0, 1].
 
-    Every entry must lie in [0, 1] within ``tol`` and every row must sum to 1
+    Every entry must lie in [0, 1] within 1e-12 and every row must sum to 1
     within 1e-10; otherwise ``ValueError`` names the first offending value.
     NaN fails both checks.
     """
     p = np.asarray(p, dtype=np.float64)
-    bad = ~((p >= -tol) & (p <= 1.0 + tol))
+    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
     if np.any(bad):
         raise ValueError(f"probability {float(p[bad][0])!r} outside [0, 1] beyond tolerance")
     p = np.clip(p, 0.0, 1.0)
@@ -187,10 +173,13 @@ def amplitude_array(params, initial, le, u=None):
     return np.einsum("...k,kb->...b", u[a] * phases, u.conj().T)
 
 
-def amplitudes(params, initial, le, u=None):
-    """FlavorAmplitudes at a single L/E point (km/GeV)."""
-    a_b = amplitude_array(params, initial, np.array([float(le)]), u=u)[0]
-    return FlavorAmplitudes(initial, float(le), a_b[0], a_b[1], a_b[2])
+def amplitudes(params, initial, le):
+    """(a_e, a_mu, a_tau) at a single L/E point (km/GeV).
+
+    Evaluated as a length-1 grid, so it equals the matching
+    ``amplitude_array`` row bit for bit.
+    """
+    return tuple(amplitude_array(params, initial, np.array([float(le)]))[0].tolist())
 
 
 _PAIRS = ((1, 0), (2, 0), (2, 1))  # (k, l) with k > l
@@ -229,13 +218,13 @@ def probability_array(params, initial, le, u=None):
     return out
 
 
-def probabilities(params, initial, le, u=None):
+def probabilities(params, initial, le):
     """ProbabilityTriple at a single L/E point (km/GeV).
 
     Evaluated as a length-1 grid, so it equals the matching sweep row bit
     for bit.
     """
-    p = probability_array(params, initial, np.array([float(le)]), u=u)
+    p = probability_array(params, initial, np.array([float(le)]))
     return ProbabilityTriple(*checked_probabilities(p)[0].tolist())
 
 

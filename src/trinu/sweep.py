@@ -261,15 +261,15 @@ def run_sweep(config, params=None, sink=None):
 SLOPE_COLUMNS = ("le_km_per_GeV", "d_ggm", "d_three_pi", "d_gmc", "d_fill")
 
 
-def slope_table(result):
-    """Central finite-difference slopes of the four measures along the grid.
+def slope_table(table):
+    """Central finite-difference slopes of the four measures along a measure table.
 
     Meant for inspecting kinks: the non-smooth measures (ggm, gmc) show slope
     jumps where their min/max argument switches.  Rows correspond to the
-    interior grid points.
+    interior rows of ``table``.
     """
-    le = result.table[:, 0]
-    cols = [result.table[:, CSV_COLUMNS.index(name)]
+    le = table[:, 0]
+    cols = [table[:, CSV_COLUMNS.index(name)]
             for name in ("ggm", "three_pi", "gmc", "fill")]
     d_le = le[2:] - le[:-2]
     slopes = [(c[2:] - c[:-2]) / d_le for c in cols]
@@ -305,15 +305,17 @@ def _write_table(columns, table, stream, header):
         stream.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_slopes(result, stream, header=True):
-    _write_table(SLOPE_COLUMNS, slope_table(result), stream, header)
+def write_slopes(table, stream, header=True):
+    """Write the ``slope_table`` of a measure table."""
+    _write_table(SLOPE_COLUMNS, slope_table(table), stream, header)
 
 
-def write_csv(result, stream, header=True):
-    _write_table(CSV_COLUMNS, result.table, stream, header)
+def write_csv(table, stream, header=True):
+    """Write a measure table, whose columns are ``CSV_COLUMNS``."""
+    _write_table(CSV_COLUMNS, table, stream, header)
 
 
-def csv_sink(config, csv, slopes=None):
+def csv_sink(csv, slopes=None):
     """A ``run_sweep`` sink writing the CSV to ``csv`` and the slopes to ``slopes``.
 
     Each chunk is written as it arrives, through ``write_csv`` and
@@ -322,9 +324,9 @@ def csv_sink(config, csv, slopes=None):
     """
     def sink(rows, window):
         header = len(window) == len(rows)
-        write_csv(SweepResult(config, rows[:, 0], rows, None), csv, header)
+        write_csv(rows, csv, header)
         if slopes is not None:
-            write_slopes(SweepResult(config, window[:, 0], window, None), slopes, header)
+            write_slopes(window, slopes, header)
     return sink
 
 

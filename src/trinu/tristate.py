@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillation import FlavorAmplitudes
-
 #: Basis indices of (|100>, |010>, |001>).
 OCCUPATION_INDICES = (4, 2, 1)
 
@@ -39,9 +37,7 @@ class TripartiteState:
 
 
 def make_state(amps):
-    """Build a TripartiteState from FlavorAmplitudes or a 3-tuple of amplitudes."""
-    if isinstance(amps, FlavorAmplitudes):
-        amps = amps.as_tuple()
+    """Build a TripartiteState from a 3-sequence of amplitudes (a_e, a_mu, a_tau)."""
     a_e, a_mu, a_tau = (complex(a) for a in amps)
     return TripartiteState(a_e, a_mu, a_tau)
 

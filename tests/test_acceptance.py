@@ -147,7 +147,7 @@ def test_criterion_7_physics_invariants():
         for flavor in FLAVORS:
             p = probabilities(PARAMS, flavor, le)
             a = amplitudes(PARAMS, flavor, le)
-            sq = [abs(x) ** 2 for x in a.as_tuple()]
+            sq = [abs(x) ** 2 for x in a]
             ok = ok and np.max(np.abs(np.array(p.as_tuple()) - sq)) <= 1e-12
     for _ in range(200):
         probs = rng.dirichlet(np.ones(3))
@@ -182,7 +182,7 @@ def test_criterion_9_determinism():
                           unit="km/GeV", points=101, scale="log",
                           path="generic")
         buf = io.StringIO()
-        write_csv(run_sweep(cfg), buf)
+        write_csv(run_sweep(cfg).table, buf)
         return buf.getvalue().encode()
 
     first = run_bytes()

@@ -140,7 +140,7 @@ class TestPartialTranspose:
     def test_hermitian_and_trace_preserving(self, rng):
         m = random_hermitian(rng, 4)
         pt = linalg.partial_transpose(m)
-        assert linalg.hermiticity_defect(pt) <= 1e-14
+        assert np.max(np.abs(pt - pt.conj().T)) <= 1e-14
         assert abs(np.trace(pt) - np.trace(m)) <= 1e-14
 
     def test_w_reduction_min_eigenvalue(self):
@@ -216,3 +216,15 @@ class TestCheckPsd:
 def test_check_hermitian_rejects_nan():
     with pytest.raises(ValueError, match="asymmetry"):
         linalg.check_hermitian(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("factor,passes", [(1.0, True), (2.0, False)])
+def test_check_hermitian_boundary(factor, passes):
+    # one off-diagonal entry without its mirror: the defect is the entry itself
+    stack = np.stack([np.eye(2, dtype=np.complex128)] * 3)
+    stack[1, 0, 1] = factor * linalg.HERMITICITY_TOL
+    if passes:
+        linalg.check_hermitian(stack)
+    else:
+        with pytest.raises(ValueError, match="asymmetry 2.000e-12 exceeds 1.0e-12"):
+            linalg.check_hermitian(stack)

@@ -13,21 +13,11 @@ from trinu import (
     gmc,
     make_state,
     negativity,
-    one_to_other_concurrences,
     report,
     three_pi,
 )
 from trinu import linalg, measures
-from trinu.measures import (
-    ConcurrenceTriangle,
-    fill_from_probs,
-    ggm_from_probs,
-    gmc_from_probs,
-    heron_fill,
-    measures_from_probs,
-    three_pi_from_probs,
-    triangle_edges_from_probs,
-)
+from trinu.measures import ConcurrenceTriangle, heron_fill, measures_from_probs
 
 from conftest import w_class_states
 
@@ -43,18 +33,33 @@ def state_from_probs(p, phases=(0.0, 0.0, 0.0)):
     return make_state(amps)
 
 
+def generic_edges(state):
+    """Concurrence-triangle edges of one state along the generic route."""
+    return tuple(measures.generic_measures([state.amplitudes()])[1][0].tolist())
+
+
+#: The closed-form column picks by their former names, each as the
+#: expression that replaces it.
+CLOSED_FORM_PICKS = {
+    "triangle_edges_from_probs": lambda p: measures._closed_form(p)[1],
+    "ggm_from_probs": lambda p: measures_from_probs(p)[..., 0],
+    "three_pi_from_probs": lambda p: measures_from_probs(p)[..., 1],
+    "gmc_from_probs": lambda p: measures_from_probs(p)[..., 2],
+    "fill_from_probs": lambda p: measures_from_probs(p)[..., 3],
+}
+
+
 class TestConcurrenceTriangle:
     def test_w_state_edges(self):
-        tri = one_to_other_concurrences(W)
-        assert np.allclose(tri.edges(), 8 / 9, atol=1e-12)
+        assert np.allclose(generic_edges(W), 8 / 9, atol=1e-12)
 
     def test_product_state_edges(self):
-        assert one_to_other_concurrences(BASIS_E).edges() == (0.0, 0.0, 0.0)
+        assert generic_edges(BASIS_E) == (0.0, 0.0, 0.0)
 
     def test_derived_edges(self):
-        tri = one_to_other_concurrences(state_from_probs((0.024, 0.488, 0.488)))
+        edges = generic_edges(state_from_probs((0.024, 0.488, 0.488)))
         # 4 P (1 - P) per edge
-        assert np.allclose(tri.edges(), (0.093696, 0.999424, 0.999424), atol=1e-12)
+        assert np.allclose(edges, (0.093696, 0.999424, 0.999424), atol=1e-12)
 
     def test_half_perimeter(self):
         tri = ConcurrenceTriangle(0.2, 0.3, 0.4)
@@ -67,7 +72,7 @@ class TestConcurrenceTriangle:
     @settings(max_examples=150, deadline=None)
     @given(w_class_states())
     def test_triangle_inequality_holds(self, state):
-        edges = one_to_other_concurrences(state).edges()
+        edges = generic_edges(state)
         total = sum(edges)
         for e in edges:
             assert e <= total - e + 1e-10
@@ -179,11 +184,9 @@ class TestConcurrenceFill:
         for row, value in zip(edges, stacked):
             assert heron_fill(row) == value
 
-    @pytest.mark.parametrize("closed_form", [
-        triangle_edges_from_probs, ggm_from_probs, three_pi_from_probs,
-        gmc_from_probs, fill_from_probs,
-    ])
-    def test_closed_form_stack_matches_one_by_one(self, rng, closed_form):
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PICKS))
+    def test_closed_form_stack_matches_one_by_one(self, rng, name):
+        closed_form = CLOSED_FORM_PICKS[name]
         p = rng.dirichlet(np.ones(3), size=200)
         stacked = closed_form(p)
         for row, value in zip(p, stacked):
@@ -204,7 +207,7 @@ class TestGenericMeasures:
             state = make_state(tuple(a))
             assert tuple(row) == (ggm(state), three_pi(state), gmc(state),
                                   concurrence_fill(state))
-            assert tuple(tri) == one_to_other_concurrences(state).edges()
+            assert tuple(tri) == generic_edges(state)
 
     def test_rejects_unnormalized_row(self):
         amps = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -330,10 +333,10 @@ class TestClosedFormInvariants:
             pair: negativity(linalg.partial_trace(rho, pair)) ** 2
             for pair in ("AB", "AC", "BC")
         }
-        tri = one_to_other_concurrences(state)
-        assert tri.edge_a - n_sq["AB"] - n_sq["AC"] >= -1e-10
-        assert tri.edge_b - n_sq["AB"] - n_sq["BC"] >= -1e-10
-        assert tri.edge_c - n_sq["AC"] - n_sq["BC"] >= -1e-10
+        edge_a, edge_b, edge_c = generic_edges(state)
+        assert edge_a - n_sq["AB"] - n_sq["AC"] >= -1e-10
+        assert edge_b - n_sq["AB"] - n_sq["BC"] >= -1e-10
+        assert edge_c - n_sq["AC"] - n_sq["BC"] >= -1e-10
 
     @settings(max_examples=150, deadline=None)
     @given(w_class_states(), st.permutations([0, 1, 2]))
@@ -358,14 +361,14 @@ class TestClosedFormInvariants:
 
     def test_equilateral_law(self):
         p = np.full(3, 1 / 3)
-        assert gmc_from_probs(p) == pytest.approx(8 / 9, abs=1e-12)
-        assert fill_from_probs(p) == pytest.approx(8 / 9, abs=1e-12)
+        assert measures_from_probs(p)[2] == pytest.approx(8 / 9, abs=1e-12)
+        assert measures_from_probs(p)[3] == pytest.approx(8 / 9, abs=1e-12)
 
     def test_gmc_value_stable_under_edge_ties(self):
         p = np.array([0.25, 0.25, 0.5])
-        edges = triangle_edges_from_probs(p)
+        edges = measures._closed_form(p)[1]
         assert edges[0] == edges[1]
-        assert gmc_from_probs(p) == edges.min()
+        assert measures_from_probs(p)[2] == edges.min()
 
 
 class TestReport:
@@ -395,9 +398,10 @@ class TestReport:
 
         le = np.linspace(0.0, 40000.0, 4001)
         p = probability_array(params, "e", le)
-        assert np.all(ggm_from_probs(p) <= 1 / 3 + 1e-10)
-        assert np.all(fill_from_probs(p) <= 8 / 9 + 1e-10)
-        assert np.all(three_pi_from_probs(p) <= 1.0 + 1e-10)
+        vals = measures_from_probs(p)
+        assert np.all(vals[:, 0] <= 1 / 3 + 1e-10)
+        assert np.all(vals[:, 3] <= 8 / 9 + 1e-10)
+        assert np.all(vals[:, 1] <= 1.0 + 1e-10)
 
     def test_measure_ranges(self, params):
         rep = report(params, "mu", 777.0, path="closed-form")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -100,15 +101,15 @@ class TestMixingMatrix:
 class TestAmplitudes:
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_no_evolution_at_zero(self, params, flavor):
-        a = amplitudes(params, flavor, 0.0)
+        a_e, a_mu, a_tau = amplitudes(params, flavor, 0.0)
         expected = {f: 1.0 if f == flavor else 0.0 for f in FLAVORS}
-        assert abs(a.a_e - expected["e"]) <= 1e-12
-        assert abs(a.a_mu - expected["mu"]) <= 1e-12
-        assert abs(a.a_tau - expected["tau"]) <= 1e-12
+        assert abs(a_e - expected["e"]) <= 1e-12
+        assert abs(a_mu - expected["mu"]) <= 1e-12
+        assert abs(a_tau - expected["tau"]) <= 1e-12
 
     def test_near_equipartition_point(self, params):
         a = amplitudes(params, "e", 10830.0)
-        for amp in a.as_tuple():
+        for amp in a:
             assert abs(amp) ** 2 == pytest.approx(1 / 3, abs=0.02)
 
     def test_rejects_negative_le(self, params):
@@ -125,12 +126,12 @@ class TestAmplitudes:
         stack = amplitude_array(params, "mu", le)
         assert stack.shape == (51, 3)
         for row, x in zip(stack, le):
-            assert tuple(row) == amplitudes(params, "mu", x).as_tuple()
+            assert tuple(row) == amplitudes(params, "mu", x)
 
     @settings(max_examples=200, deadline=None)
     @given(physics_params(), st.floats(0.0, 2e4))
     def test_normalization(self, p, le):
-        norm_sq = sum(abs(a) ** 2 for a in amplitudes(p, "mu", le).as_tuple())
+        norm_sq = sum(abs(a) ** 2 for a in amplitudes(p, "mu", le))
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
@@ -149,7 +150,7 @@ class TestProbabilities:
     def test_matches_squared_amplitudes(self, p, flavor, le):
         probs = probabilities(p, flavor, le)
         a = amplitudes(p, flavor, le)
-        expected = [abs(x) ** 2 for x in a.as_tuple()]
+        expected = [abs(x) ** 2 for x in a]
         assert np.allclose(probs.as_tuple(), expected, atol=1e-12)
 
     @pytest.mark.parametrize("le", [float("nan"), float("inf"), -1.0])
@@ -166,6 +167,14 @@ class TestProbabilities:
             checked_probabilities(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.5]]))
         with pytest.raises(ValueError, match="outside"):
             checked_probabilities(np.array([np.nan, 0.5, 0.5]))
+
+    def test_checked_probabilities_tolerance_boundary(self):
+        # entries 1e-12 outside [0, 1] are clamped onto it, 2e-12 are refused
+        clamped = checked_probabilities(np.array([[-1e-12, 0.5, 0.5 + 1e-12],
+                                                  [1.0 + 1e-12, 0.0, 0.0]]))
+        assert np.array_equal(clamped, [[0.0, 0.5, 0.5 + 1e-12], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="outside"):
+            checked_probabilities(np.array([-2e-12, 0.5, 0.5 + 2e-12]))
 
     def test_checked_probabilities_messages_print_plain_floats(self):
         with pytest.raises(ValueError) as err:
@@ -239,3 +248,14 @@ class TestParticle:
         neutrino = pdg_probability(OscillationParams(delta_cp=-90.0), 1, 0, 500.0,
                                    antineutrino=False)
         assert p_mu_e == pytest.approx(neutrino, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, 37.0, -90.0, 123.0, 180.0])
+    def test_cpt_identity(self, delta):
+        # CPT: P_antinu(a -> b) = P_nu(b -> a), and the neutrino is trinu at -delta
+        le = np.linspace(0.0, 40000.0, 4001)
+        antineutrino = OscillationParams(delta_cp=delta)
+        neutrino = OscillationParams(delta_cp=-delta)
+        for a, b in itertools.product(range(3), repeat=2):
+            forward = probability_array(antineutrino, FLAVORS[a], le)[:, b]
+            backward = probability_array(neutrino, FLAVORS[b], le)[:, a]
+            assert np.max(np.abs(forward - backward)) <= 1e-12

@@ -21,7 +21,6 @@ from trinu.sweep import (
     CSV_COLUMNS,
     SLOPE_COLUMNS,
     ConfigError,
-    SweepResult,
     format_number,
     slope_table,
     summary_lines,
@@ -38,14 +37,14 @@ def small_config(**kw):
     return SweepConfig(**base).validate()
 
 
-def written(writer, result):
+def written(writer, table):
     buf = io.StringIO()
-    writer(result, buf)
+    writer(table, buf)
     return buf.getvalue()
 
 
 def csv_bytes(result):
-    return written(write_csv, result).encode()
+    return written(write_csv, result.table).encode()
 
 
 def reference_number(x):
@@ -136,17 +135,16 @@ class TestWriters:
         cfg = small_config() if preset is None else load_preset(preset)
         result = run_sweep(cfg)
         monkeypatch.setattr(sweep, "WRITE_CHUNK", chunk)
-        assert written(write_csv, result) == reference_text(CSV_COLUMNS, result.table)
-        assert written(write_slopes, result) == reference_text(
-            SLOPE_COLUMNS, slope_table(result))
+        assert written(write_csv, result.table) == reference_text(CSV_COLUMNS, result.table)
+        assert written(write_slopes, result.table) == reference_text(
+            SLOPE_COLUMNS, slope_table(result.table))
 
     @pytest.mark.parametrize("chunk", [1, 3, 10 ** 6])
     def test_edge_values_match_reference(self, monkeypatch, chunk):
         values = np.resize(np.array(EDGE_VALUES), 5 * len(CSV_COLUMNS))
         table = values.reshape(5, len(CSV_COLUMNS))
-        result = SweepResult(small_config(), table[:, 0], table, None)
         monkeypatch.setattr(sweep, "WRITE_CHUNK", chunk)
-        text = written(write_csv, result)
+        text = written(write_csv, table)
         assert text == reference_text(CSV_COLUMNS, table)
         assert "-0" not in text.replace("\n", ",").split(",")
 
@@ -292,7 +290,7 @@ class TestRunSweep:
 
     def test_slope_table_shape(self):
         result = run_sweep(small_config(points=101))
-        slopes = slope_table(result)
+        slopes = slope_table(result.table)
         assert slopes.shape == (99, 5)
 
 

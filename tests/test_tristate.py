@@ -27,7 +27,7 @@ class TestMakeState:
     def test_from_flavor_amplitudes(self):
         a = amplitudes(OscillationParams(), "mu", 321.0)
         state = make_state(a)
-        assert state.amplitudes() == a.as_tuple()
+        assert state.amplitudes() == a
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
