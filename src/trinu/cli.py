@@ -137,14 +137,13 @@ def _open_output(path):
 
 def _cmd_sweep(args):
     config = _config_from_args(args)
-    params = config.load_params()
     with contextlib.ExitStack() as stack:
         csv = stack.enter_context(_open_output(config.output))
         slopes = stack.enter_context(_open_output(args.slopes)) if args.slopes else None
-        result = sweep.run_sweep(config, params, sink=sweep.csv_sink(csv, slopes))
-    for line in sweep.summary_lines(result):
+        summary = sweep.run_sweep(config, sink=sweep.csv_sink(csv, slopes))
+    for line in sweep.summary_lines(summary):
         print(line, file=sys.stderr)
-    stage_s = result.summary["stage_s"]
+    stage_s = summary["stage_s"]
     print("stage times (s): " + ", ".join(f"{name} {t:.3g}" for name, t in stage_s.items()),
           file=sys.stderr)
     return 0

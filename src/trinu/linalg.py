@@ -111,4 +111,5 @@ def partial_transpose(rho, on=0):
         raise ValueError("on must be 0 (first qubit) or 1 (second qubit)")
     t = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     t = np.swapaxes(t, -4, -2) if on == 0 else np.swapaxes(t, -3, -1)
-    return t.reshape(rho.shape).copy()
+    # the swapped axes never merge back into a view, so this reshape copies
+    return t.reshape(rho.shape)

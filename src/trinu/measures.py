@@ -27,7 +27,6 @@ from ._backend import eigvalsh_small
 from .oscillation import (
     ProbabilityTriple,
     amplitude_array,
-    build_pmns,
     checked_probabilities,
     probability_array,
 )
@@ -205,23 +204,25 @@ def heron_fill(edges):
 GENERIC_CHUNK = 256
 
 
-def negativity(rho, on=0):
+def negativity(rho):
     """Trace-norm deficit ||rho^T||_1 - 1 of a two-qubit partial transpose.
 
     ``rho`` is one 4x4 density matrix, giving a float, or a (..., 4, 4)
     stack, giving an array of shape (...).  Every matrix must be Hermitian
-    and positive semidefinite, both within the ``linalg`` tolerances.
+    and positive semidefinite, both within the ``linalg`` tolerances.  The
+    first qubit is transposed; rho^{T_B} = (rho^{T_A})^T has the same
+    spectrum, so the choice does not change the result.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     linalg.check_hermitian(rho)
-    n = _negativity(rho, on)
+    n = _negativity(rho)
     return float(n) if n.ndim == 0 else n
 
 
-def _negativity(rho, on=0):
+def _negativity(rho):
     """``negativity`` of a complex stack known to be Hermitian."""
     linalg._check_psd(rho)
-    wt = eigvalsh_small(linalg.partial_transpose(rho, on))
+    wt = eigvalsh_small(linalg.partial_transpose(rho))
     return _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
 
 
@@ -316,24 +317,21 @@ def concurrence_fill(state):
 PATHS = ("closed-form", "generic")
 
 
-def table(params, initial, le, path="closed-form", u=None):
+def table(params, initial, le, path="closed-form"):
     """Probabilities, the four measures and the triangle edges over an L/E array.
 
     ``le`` is a 1-D array of L/E values (km/GeV).  Returns an (n, 11) array
     whose columns are ``CSV_COLUMNS``.  The probabilities and the triangles
-    are validated on either route; ``u`` is an optional prebuilt mixing
-    matrix.
+    are validated on either route.
     """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
-    if u is None:
-        u = build_pmns(params)
-    probs = checked_probabilities(probability_array(params, initial, le, u=u))
+    probs = checked_probabilities(probability_array(params, initial, le))
     if path == "closed-form":
         vals, edges = _closed_form(probs)
         check_triangles(edges)
     else:
-        vals, edges = generic_measures(amplitude_array(params, initial, le, u=u))
+        vals, edges = generic_measures(amplitude_array(params, initial, le))
     return np.column_stack([le, probs, vals, edges])
 
 

@@ -25,6 +25,7 @@ FLAVORS = ("e", "mu", "tau")
 PHASE_CONST = 1.27
 
 #: Tolerated inconsistency |dm2_31 - (dm2_21 + dm2_32)| before warning, eV^2.
+#: The physics reads only dm2_21 and dm2_31; dm2_32 is checked against them.
 SPLITTING_TOL = 1e-9
 
 PARAM_FIELDS = (
@@ -36,7 +37,9 @@ PARAM_FIELDS = (
 class OscillationParams:
     """Physics inputs: mixing angles (degrees) and splittings (eV^2).
 
-    Defaults are the standard normal-ordering fit values.
+    Defaults are the standard normal-ordering fit values.  ``dm2_21`` and
+    ``dm2_31`` set the physics; ``dm2_32`` is only checked against
+    ``dm2_31 - dm2_21``, with a warning beyond ``SPLITTING_TOL``.
     """
 
     theta12: float = 33.48
@@ -46,7 +49,6 @@ class OscillationParams:
     dm2_21: float = 7.50e-5
     dm2_31: float = 2.457e-3
     dm2_32: float = 2.382e-3
-    ordering: str = "normal"
 
     def __post_init__(self):
         for name in ("theta12", "theta23", "theta13"):
@@ -76,13 +78,7 @@ class OscillationParams:
             # JSON's true and false are ints to Python, but no physics value
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        params = cls()
-        if overrides:
-            params = replace(
-                params, ordering="custom",
-                **{k: float(v) for k, v in overrides.items()},
-            )
-        return params
+        return replace(cls(), **{k: float(v) for k, v in overrides.items()})
 
     @classmethod
     def from_json(cls, path):
@@ -155,7 +151,7 @@ def _checked_le(le):
     return le
 
 
-def amplitude_array(params, initial, le, u=None):
+def amplitude_array(params, initial, le):
     """Evolved flavor amplitudes a_beta = sum_k U_ak exp(-i phi_k) U*_bk.
 
     ``le`` is a scalar or an array of L/E values (km/GeV); the result has
@@ -163,8 +159,7 @@ def amplitude_array(params, initial, le, u=None):
     """
     le = _checked_le(le)
     a = _flavor_index(initial)
-    if u is None:
-        u = build_pmns(params)
+    u = build_pmns(params)
     # phases relative to mass state 1; only splittings are observable
     rates = 2.0 * PHASE_CONST * np.array([0.0, params.dm2_21, params.dm2_31])
     phases = np.exp(-1j * (le[..., None] * rates))
@@ -185,12 +180,7 @@ def amplitudes(params, initial, le):
 _PAIRS = ((1, 0), (2, 0), (2, 1))  # (k, l) with k > l
 
 
-def _splitting(params, k, l):
-    table = {(1, 0): params.dm2_21, (2, 0): params.dm2_31, (2, 1): params.dm2_32}
-    return table[(k, l)]
-
-
-def probability_array(params, initial, le, u=None):
+def probability_array(params, initial, le):
     """Transition probabilities to (e, mu, tau) over an array of L/E values.
 
     Evaluated through the interference-sum formula (delta term minus the
@@ -199,11 +189,12 @@ def probability_array(params, initial, le, u=None):
     """
     le = _checked_le(le)
     a = _flavor_index(initial)
-    if u is None:
-        u = build_pmns(params)
+    u = build_pmns(params)
+    # the splittings of amplitude_array's phases, so the two formulas agree
+    dm2 = (0.0, params.dm2_21, params.dm2_31)
     sines = []
     for k, l in _PAIRS:
-        arg = PHASE_CONST * _splitting(params, k, l) * le
+        arg = PHASE_CONST * (dm2[k] - dm2[l]) * le
         sines.append((np.sin(arg) ** 2, np.sin(2.0 * arg)))
     out = np.empty(le.shape + (3,), dtype=np.float64)
     for b in range(3):
@@ -230,6 +221,5 @@ def probabilities(params, initial, le):
 
 def probability_matrix(params, le):
     """3x3 matrix P[a, b] of transition probabilities at one L/E point."""
-    u = build_pmns(params)
     le = np.array([float(le)])
-    return np.concatenate([probability_array(params, flavor, le, u=u) for flavor in FLAVORS])
+    return np.concatenate([probability_array(params, flavor, le) for flavor in FLAVORS])

@@ -11,11 +11,11 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import measures, oscillation
+from . import measures
 from .measures import CSV_COLUMNS
 from .oscillation import OscillationParams
 
@@ -115,15 +115,6 @@ class SweepConfig:
         return OscillationParams.from_json(self.params_file)
 
 
-@dataclass
-class SweepResult:
-    config: SweepConfig
-    le: np.ndarray
-    table: np.ndarray | None          # (points, 11), the emitted path; None if streamed
-    generic_table: np.ndarray | None  # populated when path == "both" and not streamed
-    summary: dict = field(default_factory=dict)
-
-
 #: Rows per chunk of a sweep: each route's measure table, the summary and the
 #: sink see at most this many rows at a time, which bounds a sweep's memory.
 SWEEP_CHUNK = 4096
@@ -205,15 +196,14 @@ def _lap(start):
     return now - start, now
 
 
-def run_sweep(config, params=None, sink=None):
+def run_sweep(config, sink=None):
     """Evaluate the configured sweep in chunks of ``SWEEP_CHUNK`` rows, by L/E ascending.
 
     Each chunk goes through each route's measure table and is folded into
-    the run summary.  With a ``sink``, each chunk is then handed over as
-    ``sink(rows, window)``: ``rows`` are the chunk's emitted rows and
-    ``window`` the same rows behind the last (up to) two rows before them,
-    for anything that needs neighbours (the slopes); the result then holds
-    no tables.  Without one, the result's tables are the chunks joined.
+    the run summary, which is returned.  With a ``sink``, each chunk is then
+    handed over as ``sink(rows, window)``: ``rows`` are the chunk's emitted
+    rows and ``window`` the same rows behind the last (up to) two rows
+    before them, for anything that needs neighbours (the slopes).
 
     With path "both" the closed-form values are the ones emitted and the
     run summary carries the max per-column discrepancy against the generic
@@ -222,40 +212,33 @@ def run_sweep(config, params=None, sink=None):
     ("write"), each summed over the chunks.
     """
     config.validate()
-    if params is None:
-        params = config.load_params()
+    params = config.load_params()
     routes = [path for path in measures.PATHS if config.path in (path, "both")]
     stages = ["grid", *routes, "summary"] + (["write"] if sink is not None else [])
     stage_s = dict.fromkeys(stages, 0.0)
     clock = time.perf_counter()
     le = config.grid()
     stage_s["grid"], clock = _lap(clock)
-    u = oscillation.build_pmns(params)
     fold = _SummaryFold(config.path == "both")
-    kept = []
     for start in range(0, len(le), SWEEP_CHUNK):
         tables = []
         for path in routes:
             tables.append(measures.table(params, config.initial, le[start:start + SWEEP_CHUNK],
-                                         path=path, u=u))
+                                         path=path))
             lap, clock = _lap(clock)
             stage_s[path] += lap
         window = fold.add(*tables)
         lap, clock = _lap(clock)
         stage_s["summary"] += lap
-        if sink is None:
-            kept.append(tables)
-            continue
-        sink(tables[0], window)
-        lap, clock = _lap(clock)
-        stage_s["write"] += lap
+        if sink is not None:
+            sink(tables[0], window)
+            lap, clock = _lap(clock)
+            stage_s["write"] += lap
     summary = fold.summary(config)
-    # the emitted table, then the generic one on path "both"; None when streamed
-    joined = [np.concatenate(chunks) for chunks in zip(*kept)] + [None, None]
     lap, _ = _lap(clock)
     stage_s["summary"] += lap
     summary["stage_s"] = stage_s
-    return SweepResult(config, le, joined[0], joined[1], summary)
+    return summary
 
 
 SLOPE_COLUMNS = ("le_km_per_GeV", "d_ggm", "d_three_pi", "d_gmc", "d_fill")
@@ -279,9 +262,6 @@ def slope_table(table):
 #: How every number is written: 12 significant digits.
 NUMBER_FORMAT = "%.12g"
 
-#: Rows formatted per block by the table writers; bounds the text held at once.
-WRITE_CHUNK = 4096
-
 
 def format_number(x):
     """Deterministic 12-significant-digit serialization of one value.
@@ -294,15 +274,12 @@ def format_number(x):
 def _write_table(columns, table, stream, header):
     """Write the rows of ``table`` as ``format_number`` would, after a header line if asked.
 
-    Each block of ``WRITE_CHUNK`` rows is formatted by one ``%`` over a
-    repeated line template, so the whole table is never held as text.
+    The rows are formatted by one ``%`` over a repeated line template.
     """
     if header:
         stream.write(",".join(columns) + "\n")
     line = ",".join([NUMBER_FORMAT] * table.shape[1]) + "\n"
-    for start in range(0, len(table), WRITE_CHUNK):
-        block = table[start:start + WRITE_CHUNK] + 0.0
-        stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+    stream.write((line * len(table)) % tuple((table + 0.0).ravel().tolist()))
 
 
 def write_slopes(table, stream, header=True):
@@ -330,25 +307,22 @@ def csv_sink(csv, slopes=None):
     return sink
 
 
-def summary_lines(result):
-    lines = [f"rows: {result.summary['points']}  path: {result.summary['path']}"]
+def summary_lines(summary):
+    lines = [f"rows: {summary['points']}  path: {summary['path']}"]
     lines.append(
         "gmc grid-local minima/maxima: "
-        f"{result.summary['gmc_grid_local_minima']}/"
-        f"{result.summary['gmc_grid_local_maxima']}"
-        f"  kinks (shortest-edge switches): {result.summary['gmc_kinks']}"
+        f"{summary['gmc_grid_local_minima']}/{summary['gmc_grid_local_maxima']}"
+        f"  kinks (shortest-edge switches): {summary['gmc_kinks']}"
     )
     lines.append(
-        f"min fill - gmc: {result.summary['min_fill_minus_gmc']:+.4g}"
-        f" at L/E {result.summary['min_fill_minus_gmc_le']:.6g} km/GeV"
+        f"min fill - gmc: {summary['min_fill_minus_gmc']:+.4g}"
+        f" at L/E {summary['min_fill_minus_gmc_le']:.6g} km/GeV"
     )
-    if "max_path_discrepancy" in result.summary:
-        lines.append(
-            f"max |closed-form - generic|: {result.summary['max_path_discrepancy']:.3e}"
-        )
+    if "max_path_discrepancy" in summary:
+        lines.append(f"max |closed-form - generic|: {summary['max_path_discrepancy']:.3e}")
         parts = [
             f"{name} {d['max']:.3e}" + (f" at {d['le']:.6g}" if d["max"] else "")
-            for name, d in result.summary["path_discrepancy_by_column"].items()
+            for name, d in summary["path_discrepancy_by_column"].items()
         ]
         lines.append("per column (L/E in km/GeV): " + ", ".join(parts))
     return lines
@@ -375,7 +349,7 @@ class ExtremumRecord:
     boundary: bool = False
 
 
-def find_extremum(config, measure, kind, window, params=None):
+def find_extremum(config, measure, kind, window):
     """Locate an extremum of one measure inside a window of the sweep range.
 
     The window is given in the config's unit.  A coarse scan of
@@ -398,16 +372,14 @@ def find_extremum(config, measure, kind, window, params=None):
     sweep_lo, sweep_hi = config.le_min * config.unit_factor(), config.le_max * config.unit_factor()
     if lo < sweep_lo - 1e-9 or hi > sweep_hi + 1e-9:
         raise ConfigError("window", "window must lie inside the sweep range")
-    if params is None:
-        params = config.load_params()
+    params = config.load_params()
     path = "closed-form" if config.path == "both" else config.path
-    u = oscillation.build_pmns(params)
     column = CSV_COLUMNS.index(measure)
     sign = -1.0 if kind == "max" else 1.0
 
     def best_of(grid):
         """Index of the best grid point, its L/E and its table value."""
-        vals = measures.table(params, config.initial, grid, path=path, u=u)[:, column]
+        vals = measures.table(params, config.initial, grid, path=path)[:, column]
         best = int(np.argmin(sign * vals))
         return best, float(grid[best]), float(vals[best])
 

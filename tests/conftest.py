@@ -54,5 +54,5 @@ def physics_params(draw):
     dm32 = draw(st.floats(1e-3, 5e-3))
     return OscillationParams(
         theta12=t12, theta23=t23, theta13=t13, delta_cp=dcp,
-        dm2_21=dm21, dm2_31=dm21 + dm32, dm2_32=dm32, ordering="custom",
+        dm2_21=dm21, dm2_31=dm21 + dm32, dm2_32=dm32,
     )

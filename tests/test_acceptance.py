@@ -32,7 +32,7 @@ from trinu import (
 from trinu import linalg
 from trinu.measures import measures_from_probs
 from trinu.oscillation import FLAVORS
-from trinu.sweep import write_csv
+from trinu.sweep import csv_sink
 
 PARAMS = OscillationParams()
 
@@ -128,8 +128,8 @@ def test_criterion_6_oracle_equivalence_random_states():
 def test_criterion_6_oracle_equivalence_default_sweeps():
     worst = 0.0
     for cfg in (ELECTRON_CFG, MUON_CFG):
-        result = run_sweep(SweepConfig(**cfg, path="both"))
-        worst = max(worst, result.summary["max_path_discrepancy"])
+        summary = run_sweep(SweepConfig(**cfg, path="both"))
+        worst = max(worst, summary["max_path_discrepancy"])
     check(f"6b default-sweep oracle equivalence (worst {worst:.2e})",
           worst <= 1e-10)
 
@@ -182,7 +182,7 @@ def test_criterion_9_determinism():
                           unit="km/GeV", points=101, scale="log",
                           path="generic")
         buf = io.StringIO()
-        write_csv(run_sweep(cfg).table, buf)
+        run_sweep(cfg, sink=csv_sink(buf))
         return buf.getvalue().encode()
 
     first = run_bytes()

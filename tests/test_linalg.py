@@ -157,6 +157,16 @@ class TestPartialTranspose:
         assert w[0] >= -1e-12
 
     @pytest.mark.parametrize("on", [0, 1])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
+    def test_result_shares_no_memory(self, rng, layout, on):
+        m = random_hermitian(rng, 8)
+        m = {"contiguous": m[:4, :4].copy(), "transposed": m[:4, :4].T,
+             "sliced": m[::2, 1::2]}[layout]
+        pt = linalg.partial_transpose(m, on)
+        assert not np.shares_memory(pt, m)
+        assert np.array_equal(linalg.partial_transpose(pt, on), m)
+
+    @pytest.mark.parametrize("on", [0, 1])
     def test_stack_matches_one_by_one(self, rng, on):
         stack = np.stack([random_hermitian(rng, 4) for _ in range(6)]).reshape(3, 2, 4, 4)
         pt = linalg.partial_transpose(stack, on)

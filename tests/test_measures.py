@@ -110,9 +110,8 @@ class TestNegativity:
 
     def test_transpose_side_does_not_matter(self):
         rho_ab = linalg.partial_trace(density(W), "AB")
-        assert negativity(rho_ab, on=0) == pytest.approx(
-            negativity(rho_ab, on=1), abs=1e-12
-        )
+        w = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho_ab, 1))
+        assert negativity(rho_ab) == pytest.approx(-2.0 * w[w < 0.0].sum(), abs=1e-12)
 
     def test_rejects_non_psd(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0])

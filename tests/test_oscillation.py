@@ -28,7 +28,6 @@ class TestParams:
     def test_defaults_are_consistent(self):
         p = OscillationParams()
         assert p.dm2_31 == pytest.approx(p.dm2_21 + p.dm2_32, abs=1e-9)
-        assert p.ordering == "normal"
 
     @pytest.mark.parametrize("field,value", [
         ("theta12", -1.0), ("theta23", 90.0), ("theta13", float("nan")),
@@ -44,8 +43,7 @@ class TestParams:
             OscillationParams(**{field: value})
 
     def test_accepts_inverted_ordering(self):
-        p = OscillationParams(dm2_21=7.5e-5, dm2_31=-2.382e-3, dm2_32=-2.457e-3,
-                              ordering="inverted")
+        p = OscillationParams(dm2_21=7.5e-5, dm2_31=-2.382e-3, dm2_32=-2.457e-3)
         assert p.dm2_31 < 0.0
         assert sum(probabilities(p, "mu", 500.0).as_tuple()) == pytest.approx(1.0)
 
@@ -57,7 +55,6 @@ class TestParams:
         p = OscillationParams.from_dict({"theta23": 45.0})
         assert p.theta23 == 45.0
         assert p.theta12 == 33.48
-        assert p.ordering == "custom"
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -84,8 +81,7 @@ class TestMixingMatrix:
         assert u[0, 2].real == pytest.approx(s13, abs=1e-14)
 
     def test_zero_mixing_is_identity(self):
-        p = OscillationParams(theta12=0.0, theta23=0.0, theta13=0.0,
-                              ordering="custom")
+        p = OscillationParams(theta12=0.0, theta23=0.0, theta13=0.0)
         assert np.allclose(build_pmns(p), np.eye(3), atol=1e-15)
 
     def test_real_when_cp_phase_zero(self, params):

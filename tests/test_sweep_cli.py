@@ -2,11 +2,13 @@ import io
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from trinu import (
+    OscillationParams,
     SweepConfig,
     find_extremum,
     measures,
@@ -43,8 +45,20 @@ def written(writer, table):
     return buf.getvalue()
 
 
-def csv_bytes(result):
-    return written(write_csv, result.table).encode()
+def csv_bytes(table):
+    return written(write_csv, table).encode()
+
+
+def swept(config):
+    """The run summary and the emitted table of a sweep, joined from the rows its sink receives."""
+    chunks = []
+    summary = run_sweep(config, sink=lambda rows, window: chunks.append(rows))
+    return summary, np.concatenate(chunks)
+
+
+def generic_table(params, config):
+    """The generic route's table over the configured grid, in one call."""
+    return measures.table(params, config.initial, config.grid(), "generic")
 
 
 def reference_number(x):
@@ -131,22 +145,32 @@ class TestFormatting:
 class TestWriters:
     @pytest.mark.parametrize("chunk", [1, 3, 10 ** 6])
     @pytest.mark.parametrize("preset", [None, "electron"])
-    def test_csv_and_slopes_match_reference(self, monkeypatch, preset, chunk):
+    def test_csv_and_slopes_match_reference(self, monkeypatch, params, preset, chunk):
         cfg = small_config() if preset is None else load_preset(preset)
-        result = run_sweep(cfg)
-        monkeypatch.setattr(sweep, "WRITE_CHUNK", chunk)
-        assert written(write_csv, result.table) == reference_text(CSV_COLUMNS, result.table)
-        assert written(write_slopes, result.table) == reference_text(
-            SLOPE_COLUMNS, slope_table(result.table))
+        table = measures.table(params, cfg.initial, cfg.grid())
+        csv_text = reference_text(CSV_COLUMNS, table)
+        slopes_text = reference_text(SLOPE_COLUMNS, slope_table(table))
+        assert written(write_csv, table) == csv_text
+        assert written(write_slopes, table) == slopes_text
+        # and as a sweep streams them, in chunks of ``chunk`` rows
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", chunk)
+        csv, slopes = io.StringIO(), io.StringIO()
+        run_sweep(cfg, sink=sweep.csv_sink(csv, slopes))
+        assert csv.getvalue() == csv_text
+        assert slopes.getvalue() == slopes_text
 
     @pytest.mark.parametrize("chunk", [1, 3, 10 ** 6])
-    def test_edge_values_match_reference(self, monkeypatch, chunk):
+    def test_edge_values_match_reference(self, chunk):
         values = np.resize(np.array(EDGE_VALUES), 5 * len(CSV_COLUMNS))
         table = values.reshape(5, len(CSV_COLUMNS))
-        monkeypatch.setattr(sweep, "WRITE_CHUNK", chunk)
         text = written(write_csv, table)
         assert text == reference_text(CSV_COLUMNS, table)
         assert "-0" not in text.replace("\n", ",").split(",")
+        # written in blocks of ``chunk`` rows, as a sweep streams them
+        buf = io.StringIO()
+        for start in range(0, len(table), chunk):
+            write_csv(table[start:start + chunk], buf, header=start == 0)
+        assert buf.getvalue() == text
 
     def test_stdout_equals_file_output(self, tmp_path, capsys):
         argv = ["sweep", "--points", "201"]
@@ -155,50 +179,50 @@ class TestWriters:
         out = tmp_path / "sweep.csv"
         assert main(argv + ["--output", str(out)]) == 0
         assert out.read_text() == to_stdout
-        assert to_stdout == csv_bytes(run_sweep(small_config())).decode()
+        assert to_stdout == csv_bytes(swept(small_config())[1]).decode()
 
 
 class TestRunSweep:
     def test_row_count_and_monotone_le(self):
-        result = run_sweep(small_config())
-        assert result.table.shape == (201, len(CSV_COLUMNS))
-        assert np.all(np.diff(result.table[:, 0]) > 0)
+        _, table = swept(small_config())
+        assert table.shape == (201, len(CSV_COLUMNS))
+        assert np.all(np.diff(table[:, 0]) > 0)
         # the origin row has every measure and edge exactly 0
-        assert np.all(result.table[0, 4:] == 0.0)
+        assert np.all(table[0, 4:] == 0.0)
 
     def test_probability_rows_normalized(self):
-        result = run_sweep(small_config(points=401))
-        sums = result.table[:, 1:4].sum(axis=1)
+        _, table = swept(small_config(points=401))
+        sums = table[:, 1:4].sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-10)
 
     def test_unit_conversion_row_by_row(self):
-        in_mev = run_sweep(small_config())
-        in_gev = run_sweep(small_config(le_min=0.0, le_max=40000.0, unit="km/GeV"))
-        assert np.allclose(in_mev.table, in_gev.table, rtol=1e-12, atol=1e-12)
+        _, in_mev = swept(small_config())
+        _, in_gev = swept(small_config(le_min=0.0, le_max=40000.0, unit="km/GeV"))
+        assert np.allclose(in_mev, in_gev, rtol=1e-12, atol=1e-12)
 
     def test_deterministic_output(self):
-        a = csv_bytes(run_sweep(small_config()))
-        b = csv_bytes(run_sweep(small_config()))
+        a = csv_bytes(swept(small_config())[1])
+        b = csv_bytes(swept(small_config())[1])
         assert a == b
 
     def test_both_paths_agree_electron(self):
-        result = run_sweep(small_config(path="both"))
-        assert result.generic_table is not None
-        assert result.summary["max_path_discrepancy"] <= 1e-10
+        summary = run_sweep(small_config(path="both"))
+        assert {"closed-form", "generic"} <= set(summary["stage_s"])
+        assert summary["max_path_discrepancy"] <= 1e-10
 
     def test_both_paths_agree_muon_log(self):
-        result = run_sweep(small_config(
+        summary = run_sweep(small_config(
             initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
             scale="log", path="both",
         ))
-        assert result.summary["max_path_discrepancy"] <= 1e-10
+        assert summary["max_path_discrepancy"] <= 1e-10
 
     def test_generic_rows_equal_scalar_reports(self, params):
-        result = run_sweep(small_config(
+        _, table = swept(small_config(
             initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
             scale="log", points=37, path="generic",
         ))
-        for row in result.table:
+        for row in table:
             rep = report(params, "mu", row[0], path="generic")
             expected = (row[0], *rep.probabilities.as_tuple(), *rep.measures(),
                         *rep.triangle.edges())
@@ -209,40 +233,41 @@ class TestRunSweep:
     def test_reports_equal_sweep_rows_bit_for_bit(self, params, preset, path):
         cfg = load_preset(preset)
         cfg.path = path
-        result = run_sweep(cfg)
-        reps = [report(params, cfg.initial, x, path=path) for x in result.le]
+        _, table = swept(cfg)
+        reps = [report(params, cfg.initial, x, path=path) for x in table[:, 0]]
         rows = np.array([(r.le, *r.probabilities.as_tuple(), *r.measures(),
                           *r.triangle.edges()) for r in reps])
-        differ = np.any(rows.view(np.uint64) != result.table.view(np.uint64), axis=1)
+        differ = np.any(rows.view(np.uint64) != table.view(np.uint64), axis=1)
         assert not differ.any(), f"{differ.sum()} of {len(rows)} rows differ"
 
     @pytest.mark.parametrize("preset", ["electron", "muon"])
     def test_probabilities_equal_sweep_rows_bit_for_bit(self, params, preset):
         cfg = load_preset(preset)
         cfg.path = "both"
-        result = run_sweep(cfg)
+        _, emitted = swept(cfg)
         probs = np.array([probabilities(params, cfg.initial, x).as_tuple()
-                          for x in result.le])
-        for table in (result.table, result.generic_table):
+                          for x in emitted[:, 0]])
+        for table in (emitted, generic_table(params, cfg)):
             differ = np.any(probs.view(np.uint64) != table[:, 1:4].view(np.uint64), axis=1)
             assert not differ.any(), f"{differ.sum()} of {len(probs)} rows differ"
 
-    def test_summary_reports_discrepancy_per_column(self):
-        result = run_sweep(small_config(
+    def test_summary_reports_discrepancy_per_column(self, params):
+        cfg = small_config(
             initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
             scale="log", points=401, path="both",
-        ))
-        diff = np.abs(result.table - result.generic_table)
-        by_column = result.summary["path_discrepancy_by_column"]
+        )
+        summary, table = swept(cfg)
+        diff = np.abs(table - generic_table(params, cfg))
+        by_column = summary["path_discrepancy_by_column"]
         assert tuple(by_column) == CSV_COLUMNS[1:]
         for j, name in enumerate(CSV_COLUMNS[1:], start=1):
             i = int(diff[:, j].argmax())
-            assert by_column[name] == {"max": diff[i, j], "le": result.le[i]}
-        assert result.summary["max_path_discrepancy"] == max(
+            assert by_column[name] == {"max": diff[i, j], "le": table[i, 0]}
+        assert summary["max_path_discrepancy"] == max(
             d["max"] for d in by_column.values())
-        lines = summary_lines(result)
+        lines = summary_lines(summary)
         assert lines[-2] == (
-            f"max |closed-form - generic|: {result.summary['max_path_discrepancy']:.3e}")
+            f"max |closed-form - generic|: {summary['max_path_discrepancy']:.3e}")
         worst = by_column["fill"]
         assert lines[-1].startswith("per column (L/E in km/GeV): p_e 0.000e+00, ")
         assert f"fill {worst['max']:.3e} at {worst['le']:.6g}" in lines[-1]
@@ -253,22 +278,22 @@ class TestRunSweep:
         cfg = small_config(initial="mu", le_min=10.0, le_max=1600.0,
                            unit="km/GeV", scale="log", points=chunk + offset,
                            path="generic")
-        whole = run_sweep(cfg).table
+        _, whole = swept(cfg)
         monkeypatch.setattr(measures, "GENERIC_CHUNK", chunk)
-        chunked = run_sweep(cfg).table
+        _, chunked = swept(cfg)
         assert np.array_equal(chunked, whole)
 
     def test_summary_reports_fill_gmc_margin(self):
-        result = run_sweep(small_config(
+        summary, table = swept(small_config(
             initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
             scale="log", points=4001,
         ))
-        column = {name: result.table[:, i] for i, name in enumerate(CSV_COLUMNS)}
+        column = {name: table[:, i] for i, name in enumerate(CSV_COLUMNS)}
         margin = column["fill"] - column["gmc"]
-        assert result.summary["min_fill_minus_gmc"] == margin.min()
-        assert result.summary["min_fill_minus_gmc"] == pytest.approx(-0.0314, abs=5e-4)
-        assert result.summary["min_fill_minus_gmc_le"] == pytest.approx(457.0, abs=2.0)
-        lines = summary_lines(result)
+        assert summary["min_fill_minus_gmc"] == margin.min()
+        assert summary["min_fill_minus_gmc"] == pytest.approx(-0.0314, abs=5e-4)
+        assert summary["min_fill_minus_gmc_le"] == pytest.approx(457.0, abs=2.0)
+        lines = summary_lines(summary)
         assert any(line.startswith("min fill - gmc: -0.0314") and "L/E 457" in line
                    for line in lines)
 
@@ -277,20 +302,20 @@ class TestRunSweep:
         ("both", ["closed-form", "generic"]),
     ])
     def test_summary_times_each_stage(self, path, routes):
-        stage_s = run_sweep(small_config(path=path)).summary["stage_s"]
+        stage_s = run_sweep(small_config(path=path))["stage_s"]
         assert list(stage_s) == ["grid", *routes, "summary"]
         assert all(t >= 0.0 for t in stage_s.values())
 
     def test_muon_kink_count(self):
-        result = run_sweep(small_config(
+        summary = run_sweep(small_config(
             initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
             scale="log", points=1000,
         ))
-        assert abs(result.summary["gmc_kinks"] - 6) <= 1
+        assert abs(summary["gmc_kinks"] - 6) <= 1
 
     def test_slope_table_shape(self):
-        result = run_sweep(small_config(points=101))
-        slopes = slope_table(result.table)
+        _, table = swept(small_config(points=101))
+        slopes = slope_table(table)
         assert slopes.shape == (99, 5)
 
 
@@ -307,6 +332,21 @@ def sweep_outputs(tmp_path, capsys, argv):
     assert err[-1].startswith("stage times (s): ")
     assert main(argv) == 0
     return csv.read_bytes(), capsys.readouterr().out.encode(), slopes.read_bytes(), err[:-1]
+
+
+def route_tables(monkeypatch, config):
+    """The run summary and each route's table of a sweep, joined from its table calls."""
+    chunks = {path: [] for path in measures.PATHS}
+    table = measures.table
+
+    def recording_table(params, initial, le, path="closed-form"):
+        chunks[path].append(table(params, initial, le, path))
+        return chunks[path][-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "table", recording_table)
+        summary = run_sweep(config)
+    return summary, {path: np.concatenate(c) for path, c in chunks.items() if c}
 
 
 def gmc_extrema_rows(table):
@@ -327,19 +367,20 @@ class TestStreaming:
         cfg = load_preset(preset)
         cfg.path, cfg.points = path, STREAM_GRID_POINTS
         assert sweep.SWEEP_CHUNK >= STREAM_GRID_POINTS
-        whole = run_sweep(cfg)
+        whole, whole_tables = route_tables(monkeypatch, cfg)
         expected = sweep_outputs(tmp_path, capsys, argv)
-        assert whole.summary["gmc_kinks"] > 0
-        assert any(i % 3 != 1 for i in gmc_extrema_rows(whole.table))
+        assert whole["gmc_kinks"] > 0
+        emitted = "closed-form" if path == "both" else path
+        assert any(i % 3 != 1 for i in gmc_extrema_rows(whole_tables[emitted]))
 
         monkeypatch.setattr(sweep, "SWEEP_CHUNK", chunk)
-        chunked = run_sweep(cfg)
+        chunked, chunked_tables = route_tables(monkeypatch, cfg)
         assert sweep_outputs(tmp_path, capsys, argv) == expected
-        assert np.array_equal(chunked.table, whole.table)
-        if path == "both":
-            assert np.array_equal(chunked.generic_table, whole.generic_table)
-        del whole.summary["stage_s"], chunked.summary["stage_s"]
-        assert chunked.summary == whole.summary
+        assert list(chunked_tables) == list(whole_tables)
+        for route, table in whole_tables.items():
+            assert np.array_equal(chunked_tables[route], table)
+        del whole["stage_s"], chunked["stage_s"]
+        assert chunked == whole
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_summary_ties_keep_the_first_row(self, chunk):
@@ -385,12 +426,12 @@ class TestStreaming:
         assert sum(rows) == 2 * points
 
     def test_streamed_result_holds_no_table(self):
-        result = run_sweep(small_config(), sink=lambda rows, window: None)
-        assert result.table is None and result.generic_table is None
-        assert list(result.summary["stage_s"]) == ["grid", "closed-form", "summary", "write"]
+        summary = run_sweep(small_config(), sink=lambda rows, window: None)
+        assert not any(isinstance(value, np.ndarray) for value in summary.values())
+        assert list(summary["stage_s"]) == ["grid", "closed-form", "summary", "write"]
 
-    def test_sink_windows_carry_two_rows(self, monkeypatch):
-        whole = run_sweep(small_config(points=11)).table
+    def test_sink_windows_carry_two_rows(self, monkeypatch, params):
+        whole = measures.table(params, "e", small_config(points=11).grid())
         monkeypatch.setattr(sweep, "SWEEP_CHUNK", 4)
         seen = []
         run_sweep(small_config(points=11), sink=lambda rows, window: seen.append((rows, window)))
@@ -614,13 +655,61 @@ class TestCli:
         assert code == 0
         assert slopes.read_text().startswith("le_km_per_GeV,d_ggm")
 
-    def test_sweep_params_override(self, tmp_path):
+    @staticmethod
+    def params_file(tmp_path):
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps({"theta13": 0.0}))
-        out = tmp_path / "out.csv"
-        code = main(["sweep", "--points", "51", "--params", str(pfile),
-                     "--output", str(out)])
+        return pfile
+
+    def test_sweep_params_override(self, tmp_path):
+        pfile = self.params_file(tmp_path)
+        out, default = tmp_path / "out.csv", tmp_path / "default.csv"
+        argv = ["sweep", "--points", "51", "--output"]
+        assert main(argv + [str(default)]) == 0
+        code = main(argv + [str(out), "--params", str(pfile)])
         assert code == 0
+        table = measures.table(OscillationParams.from_json(pfile), "e",
+                               small_config(points=51).grid())
+        assert out.read_text() == written(write_csv, table)
+        assert out.read_text() != default.read_text()
+
+    def test_extremum_params_override(self, tmp_path, capsys):
+        pfile = self.params_file(tmp_path)
+        argv = ["extremum", "--measure", "fill", "--kind", "max", "--window", "8", "13"]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--params", str(pfile)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload != default
+        row = measures.table(OscillationParams.from_json(pfile), "e",
+                             np.array([payload["le_km_per_GeV"]]))[0]
+        assert payload["value"] == row[CSV_COLUMNS.index("fill")]
+
+    def test_triangle_params_override(self, tmp_path, capsys):
+        pfile = self.params_file(tmp_path)
+        argv = ["triangle", "--le", "4.61", "--json"]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--params", str(pfile)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record != default
+        assert record == triangle_record(OscillationParams.from_json(pfile), "e", 4.61 * 1000.0)
+
+    @pytest.mark.parametrize("override", [{"dm2_31": 2.5e-3}, {"dm2_32": 2.3820005e-3}])
+    def test_params_splittings_agree_across_routes(self, tmp_path, capsys, override):
+        # the probabilities and the amplitudes both take the (3, 2)
+        # splitting as dm2_31 - dm2_21, whatever dm2_32 says
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(override))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dm2_31 alone is inconsistent
+            code = main(["sweep", "--path", "both", "--params", str(pfile),
+                         "--output", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        prefix = "max |closed-form - generic|: "
+        line = next(line for line in err.splitlines() if line.startswith(prefix))
+        assert float(line[len(prefix):]) <= 1e-10
 
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--le-min", "10", "--le-max", "5"]) == 2
