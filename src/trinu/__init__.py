@@ -9,8 +9,6 @@ which must agree.
 """
 
 from .measures import (
-    ConcurrenceTriangle,
-    MeasureReport,
     concurrence_fill,
     ggm,
     gmc,
@@ -20,23 +18,18 @@ from .measures import (
 )
 from .oscillation import (
     OscillationParams,
-    ProbabilityTriple,
     amplitudes,
     build_pmns,
     probabilities,
     probability_matrix,
 )
-from .sweep import ExtremumRecord, SweepConfig, find_extremum, run_sweep, triangle_record
+from .sweep import SweepConfig, find_extremum, run_sweep, triangle_record
 from .tristate import TripartiteState, density, make_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConcurrenceTriangle",
-    "ExtremumRecord",
-    "MeasureReport",
     "OscillationParams",
-    "ProbabilityTriple",
     "SweepConfig",
     "TripartiteState",
     "amplitudes",

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -32,7 +33,7 @@ def _add_sweep_flags(parser, with_grid=True):
                         help="unit of the L/E values (default: km/MeV)")
     parser.add_argument("--path", choices=sweep.PATHS, default=None,
                         help="evaluation route (default: closed-form)")
-    parser.add_argument("--params", metavar="FILE", default=None,
+    parser.add_argument("--params", metavar="FILE", default=None, dest="params_file",
                         help="JSON file overriding the physics parameters")
     if with_grid:
         parser.add_argument("--le-min", type=float, default=None)
@@ -84,7 +85,7 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args, with_grid=True):
+def _config_from_args(args):
     if getattr(args, "config", None) and getattr(args, "preset", None):
         raise ConfigError("config", "--config and --preset are mutually exclusive")
     if getattr(args, "config", None):
@@ -93,23 +94,10 @@ def _config_from_args(args, with_grid=True):
         config = load_preset(args.preset)
     else:
         config = SweepConfig()
-    overrides = {
-        "initial": args.initial,
-        "unit": args.unit,
-        "path": args.path,
-        "params_file": args.params,
-        "output": args.output,
-    }
-    if with_grid:
-        overrides.update({
-            "le_min": getattr(args, "le_min", None),
-            "le_max": getattr(args, "le_max", None),
-            "points": getattr(args, "points", None),
-            "scale": getattr(args, "scale", None),
-        })
-    for name, value in overrides.items():
+    for field in dataclasses.fields(SweepConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(config, name, value)
+            setattr(config, field.name, value)
     return config.validate()
 
 
@@ -153,22 +141,14 @@ def _cmd_extremum(args):
     config = _config_from_args(args)
     record = sweep.find_extremum(config, args.measure, args.kind,
                                  tuple(args.window))
-    payload = {
-        "kind": record.kind,
-        "measure": record.measure,
-        "le_km_per_GeV": record.le,
-        "value": record.value,
-        "bracket": list(record.bracket),
-        "boundary": record.boundary,
-    }
     with _open_output(config.output) as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(record, fh, indent=2)
         fh.write("\n")
     return 0
 
 
 def _cmd_triangle(args):
-    config = _config_from_args(args, with_grid=False)
+    config = _config_from_args(args)
     params = config.load_params()
     le = args.le * config.unit_factor()
     record = sweep.triangle_record(params, config.initial, le)

@@ -18,14 +18,12 @@ on pure states, and it reproduces the closed-form three-pi expression.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, tristate
 from ._backend import eigvalsh_small
 from .oscillation import (
-    ProbabilityTriple,
     amplitude_array,
     checked_probabilities,
     probability_array,
@@ -45,46 +43,6 @@ CSV_COLUMNS = (
     "ggm", "three_pi", "gmc", "fill",
     "edge_a", "edge_b", "edge_c",
 )
-
-
-@dataclass(frozen=True)
-class ConcurrenceTriangle:
-    """Squared one-to-other concurrences as the edges of a triangle."""
-
-    edge_a: float
-    edge_b: float
-    edge_c: float
-
-    def __post_init__(self):
-        check_triangles(self.edges())
-
-    def edges(self):
-        return (self.edge_a, self.edge_b, self.edge_c)
-
-    @property
-    def half_perimeter(self):
-        return (self.edge_a + self.edge_b + self.edge_c) / 2.0
-
-    @property
-    def shortest_edge(self):
-        return min(self.edges())
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """All four measures plus the triangle geometry at one L/E point."""
-
-    le: float
-    probabilities: ProbabilityTriple
-    ggm: float
-    three_pi: float
-    gmc: float
-    fill: float
-    triangle: ConcurrenceTriangle
-    path: str
-
-    def measures(self):
-        return (self.ggm, self.three_pi, self.gmc, self.fill)
 
 
 def _snap(x):
@@ -336,11 +294,11 @@ def table(params, initial, le, path="closed-form"):
 
 
 def report(params, initial, le, path="closed-form"):
-    """Probabilities plus all four measures at one L/E point (km/GeV).
+    """Probabilities, all four measures and the triangle edges at one L/E point (km/GeV).
 
-    This is the one row of ``table`` at ``le``, so it equals the matching
-    row of any sweep bit for bit.
+    This is the one row of ``table`` at ``le`` as a dict keyed by
+    ``CSV_COLUMNS`` in column order, so it equals the matching row of any
+    sweep bit for bit.
     """
-    row = table(params, initial, np.array([le], dtype=np.float64), path=path)[0].tolist()
-    return MeasureReport(row[0], ProbabilityTriple(*row[1:4]), *row[4:8],
-                         triangle=ConcurrenceTriangle(*row[8:]), path=path)
+    row = table(params, initial, np.array([le], dtype=np.float64), path=path)[0]
+    return dict(zip(CSV_COLUMNS, row.tolist()))

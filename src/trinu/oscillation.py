@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,10 @@ class OscillationParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         gap = abs(self.dm2_31 - (self.dm2_21 + self.dm2_32))
         if gap > SPLITTING_TOL:
+            # level 2 is the __init__ that dataclass generates; 3 is its caller
             warnings.warn(
                 f"mass splittings are inconsistent: |dm2_31 - (dm2_21 + dm2_32)|"
-                f" = {gap:.3e} eV^2", stacklevel=2,
+                f" = {gap:.3e} eV^2", stacklevel=3,
             )
 
     @classmethod
@@ -78,7 +79,7 @@ class OscillationParams:
             # JSON's true and false are ints to Python, but no physics value
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        return replace(cls(), **{k: float(v) for k, v in overrides.items()})
+        return cls(**{k: float(v) for k, v in overrides.items()})
 
     @classmethod
     def from_json(cls, path):
@@ -87,18 +88,6 @@ class OscillationParams:
         if not isinstance(data, dict):
             raise ValueError("parameter file must contain a JSON object")
         return cls.from_dict(data)
-
-
-@dataclass(frozen=True)
-class ProbabilityTriple:
-    """(P_e, P_mu, P_tau) at one L/E point; clamped to [0, 1]."""
-
-    p_e: float
-    p_mu: float
-    p_tau: float
-
-    def as_tuple(self):
-        return (self.p_e, self.p_mu, self.p_tau)
 
 
 def checked_probabilities(p):
@@ -210,13 +199,13 @@ def probability_array(params, initial, le):
 
 
 def probabilities(params, initial, le):
-    """ProbabilityTriple at a single L/E point (km/GeV).
+    """(p_e, p_mu, p_tau) at a single L/E point (km/GeV), clamped to [0, 1].
 
     Evaluated as a length-1 grid, so it equals the matching sweep row bit
     for bit.
     """
     p = probability_array(params, initial, np.array([float(le)]))
-    return ProbabilityTriple(*checked_probabilities(p)[0].tolist())
+    return tuple(checked_probabilities(p)[0].tolist())
 
 
 def probability_matrix(params, le):

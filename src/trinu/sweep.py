@@ -103,7 +103,11 @@ class SweepConfig:
     def grid(self):
         """The L/E grid in km/GeV, ascending."""
         if self.scale == "log":
-            g = np.geomspace(self.le_min, self.le_max, self.points)
+            # np.geomspace's steps, taken in place: geomspace itself holds
+            # three grid-sized arrays at once
+            g = np.linspace(np.log10(self.le_min), np.log10(self.le_max), self.points)
+            np.power(10.0, g, out=g)
+            g[0], g[-1] = self.le_min, self.le_max
         else:
             g = np.linspace(self.le_min, self.le_max, self.points)
         g *= self.unit_factor()  # in place: a scaled copy would double the largest array
@@ -339,16 +343,6 @@ SCAN_POINTS = 257
 ZOOM_POINTS = 65
 
 
-@dataclass(frozen=True)
-class ExtremumRecord:
-    kind: str
-    measure: str
-    le: float        # km/GeV
-    value: float
-    bracket: tuple
-    boundary: bool = False
-
-
 def find_extremum(config, measure, kind, window):
     """Locate an extremum of one measure inside a window of the sweep range.
 
@@ -357,9 +351,10 @@ def find_extremum(config, measure, kind, window):
     neighbours.  Each zoom round then evaluates ``ZOOM_POINTS`` across the
     bracket in one table call and shrinks it to the new best point's
     neighbours, until it is at most 1e-6 of the window width or a round no
-    longer narrows it.  The record holds the last round's best point, its
-    table value and the final bracket.  If the best scan point sits on the
-    window boundary the record is flagged and no refinement is attempted.
+    longer narrows it.  Returns the dict ``trinu extremum`` writes: ``kind``,
+    ``measure``, the last round's best point ``le_km_per_GeV``, its table
+    ``value``, the final ``bracket`` and ``boundary``, which is true if the
+    best scan point sits on the window boundary; then nothing is refined.
     """
     config.validate()
     if measure not in measures.MEASURE_NAMES:
@@ -377,6 +372,10 @@ def find_extremum(config, measure, kind, window):
     column = CSV_COLUMNS.index(measure)
     sign = -1.0 if kind == "max" else 1.0
 
+    def record(le, value, bracket, boundary=False):
+        return {"kind": kind, "measure": measure, "le_km_per_GeV": le, "value": value,
+                "bracket": list(bracket), "boundary": boundary}
+
     def best_of(grid):
         """Index of the best grid point, its L/E and its table value."""
         vals = measures.table(params, config.initial, grid, path=path)[:, column]
@@ -386,7 +385,7 @@ def find_extremum(config, measure, kind, window):
     grid = np.linspace(lo, hi, SCAN_POINTS)
     best, le, value = best_of(grid)
     if best in (0, SCAN_POINTS - 1):
-        return ExtremumRecord(kind, measure, le, value, (lo, hi), boundary=True)
+        return record(le, value, (lo, hi), boundary=True)
 
     a, b = float(grid[best - 1]), float(grid[best + 1])
     tol = 1e-6 * (hi - lo)
@@ -398,7 +397,7 @@ def find_extremum(config, measure, kind, window):
         if nb - na >= b - a:
             break
         a, b = na, nb
-    return ExtremumRecord(kind, measure, le, value, (a, b))
+    return record(le, value, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +410,20 @@ def triangle_record(params, initial, le):
     ``le`` is in km/GeV.  Returns a plain dict (JSON-ready).
     """
     rep = measures.report(params, initial, le, path="closed-form")
-    tri = rep.triangle
+    a, b, c = rep["edge_a"], rep["edge_b"], rep["edge_c"]
     return {
         "initial": initial,
         "le_km_per_GeV": float(le),
         "probabilities": {
-            "p_e": rep.probabilities.p_e,
-            "p_mu": rep.probabilities.p_mu,
-            "p_tau": rep.probabilities.p_tau,
+            "p_e": rep["p_e"],
+            "p_mu": rep["p_mu"],
+            "p_tau": rep["p_tau"],
         },
-        "edges": {"a": tri.edge_a, "b": tri.edge_b, "c": tri.edge_c},
-        "half_perimeter": tri.half_perimeter,
-        "sqrt_area": rep.fill,
-        "shortest_edge": rep.gmc,
-        "fill_minus_gmc": rep.fill - rep.gmc,
+        "edges": {"a": a, "b": b, "c": c},
+        "half_perimeter": (a + b + c) / 2,
+        "sqrt_area": rep["fill"],
+        "shortest_edge": rep["gmc"],
+        "fill_minus_gmc": rep["fill"] - rep["gmc"],
     }
 
 

@@ -30,7 +30,7 @@ from trinu import (
     triangle_record,
 )
 from trinu import linalg
-from trinu.measures import measures_from_probs
+from trinu.measures import MEASURE_NAMES, measures_from_probs
 from trinu.oscillation import FLAVORS
 from trinu.sweep import csv_sink
 
@@ -66,7 +66,8 @@ def test_criterion_2_electron_peak_values():
     ok = True
     for measure, target in targets.items():
         rec = find_extremum(cfg, measure, "max", (9.0, 13.0))
-        ok = ok and abs(rec.value - target) <= 0.01 and abs(rec.le - 10830.0) <= 300.0
+        ok = (ok and abs(rec["value"] - target) <= 0.01
+              and abs(rec["le_km_per_GeV"] - 10830.0) <= 300.0)
     check("2 electron maxima near 10.83 km/MeV within 0.01", ok)
 
 
@@ -83,7 +84,7 @@ def test_criterion_3_muon_first_concave_interval_minima():
     ok = True
     for measure, target in targets.items():
         rec = find_extremum(cfg, measure, "min", (420.0, 600.0))
-        ok = ok and abs(rec.value - target) <= 0.002
+        ok = ok and abs(rec["value"] - target) <= 0.002
     check("3 muon minima near 513.4 km/GeV within 0.002", ok)
 
 
@@ -104,7 +105,7 @@ def test_criterion_4_muon_triangles():
 ])
 def test_criterion_5_electron_triangle_probabilities(le_km_mev, expected):
     p = probabilities(PARAMS, "e", le_km_mev * 1000.0)
-    ok = np.max(np.abs(np.array(p.as_tuple()) - expected)) <= 0.01
+    ok = np.max(np.abs(np.array(p) - expected)) <= 0.01
     check(f"5 electron probabilities at {le_km_mev} km/MeV within 0.01", ok)
 
 
@@ -148,7 +149,7 @@ def test_criterion_7_physics_invariants():
             p = probabilities(PARAMS, flavor, le)
             a = amplitudes(PARAMS, flavor, le)
             sq = [abs(x) ** 2 for x in a]
-            ok = ok and np.max(np.abs(np.array(p.as_tuple()) - sq)) <= 1e-12
+            ok = ok and np.max(np.abs(np.array(p) - sq)) <= 1e-12
     for _ in range(200):
         probs = rng.dirichlet(np.ones(3))
         state = make_state(tuple(np.sqrt(probs)))
@@ -172,7 +173,7 @@ def test_criterion_8_zero_point():
     for flavor in ("e", "mu"):
         for path in ("closed-form", "generic"):
             rep = report(PARAMS, flavor, 0.0, path=path)
-            ok = ok and rep.measures() == (0.0, 0.0, 0.0, 0.0)
+            ok = ok and tuple(rep[m] for m in MEASURE_NAMES) == (0.0, 0.0, 0.0, 0.0)
     check("8 all measures exactly 0 at L/E = 0", ok)
 
 

@@ -15,9 +15,10 @@ from trinu import (
     negativity,
     report,
     three_pi,
+    triangle_record,
 )
 from trinu import linalg, measures
-from trinu.measures import ConcurrenceTriangle, heron_fill, measures_from_probs
+from trinu.measures import MEASURE_NAMES, check_triangles, heron_fill, measures_from_probs
 
 from conftest import w_class_states
 
@@ -61,13 +62,14 @@ class TestConcurrenceTriangle:
         # 4 P (1 - P) per edge
         assert np.allclose(edges, (0.093696, 0.999424, 0.999424), atol=1e-12)
 
-    def test_half_perimeter(self):
-        tri = ConcurrenceTriangle(0.2, 0.3, 0.4)
-        assert tri.half_perimeter == (0.2 + 0.3 + 0.4) / 2.0
+    def test_half_perimeter(self, params):
+        rec = triangle_record(params, "mu", 262.2)
+        a, b, c = rec["edges"].values()
+        assert rec["half_perimeter"] == (a + b + c) / 2.0
 
     def test_rejects_inequality_violation(self):
         with pytest.raises(ValueError, match="triangle"):
-            ConcurrenceTriangle(0.9, 0.1, 0.1)
+            check_triangles((0.9, 0.1, 0.1))
 
     @settings(max_examples=150, deadline=None)
     @given(w_class_states())
@@ -374,23 +376,27 @@ class TestReport:
     def test_all_zero_at_origin(self, params):
         for path in ("closed-form", "generic"):
             rep = report(params, "e", 0.0, path=path)
-            assert rep.measures() == (0.0, 0.0, 0.0, 0.0)
+            assert tuple(rep[m] for m in MEASURE_NAMES) == (0.0, 0.0, 0.0, 0.0)
 
     def test_electron_fill_near_equipartition(self, params):
         rep = report(params, "e", 10830.0, path="closed-form")
-        assert rep.fill == pytest.approx(0.89, abs=0.01)
+        assert rep["fill"] == pytest.approx(0.89, abs=0.01)
 
     def test_paths_agree_at_quoted_points(self, params):
         for flavor, le in (("e", 10830.0), ("mu", 513.4), ("mu", 262.2)):
             closed = report(params, flavor, le, path="closed-form")
             generic = report(params, flavor, le, path="generic")
-            assert np.allclose(closed.measures(), generic.measures(), atol=1e-10)
-            assert np.allclose(closed.triangle.edges(), generic.triangle.edges(),
-                               atol=1e-10)
+            for names in (MEASURE_NAMES, ("edge_a", "edge_b", "edge_c")):
+                assert np.allclose([closed[n] for n in names], [generic[n] for n in names],
+                                   atol=1e-10)
 
     def test_rejects_unknown_path(self, params):
         with pytest.raises(ValueError, match="path"):
             report(params, "e", 1.0, path="magic")
+
+    @pytest.mark.parametrize("path", ["closed-form", "generic"])
+    def test_keys_are_the_csv_columns_in_order(self, params, path):
+        assert tuple(report(params, "mu", 513.4, path=path)) == measures.CSV_COLUMNS
 
     def test_boundedness_on_electron_sweep(self, params):
         from trinu.oscillation import probability_array
@@ -404,7 +410,7 @@ class TestReport:
 
     def test_measure_ranges(self, params):
         rep = report(params, "mu", 777.0, path="closed-form")
-        assert 0.0 <= rep.ggm <= 0.5
-        assert 0.0 <= rep.three_pi <= 1.0
-        assert 0.0 <= rep.gmc <= 1.0
-        assert 0.0 <= rep.fill <= 1.0
+        assert 0.0 <= rep["ggm"] <= 0.5
+        assert 0.0 <= rep["three_pi"] <= 1.0
+        assert 0.0 <= rep["gmc"] <= 1.0
+        assert 0.0 <= rep["fill"] <= 1.0

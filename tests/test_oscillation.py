@@ -14,6 +14,7 @@ from trinu import (
     probabilities,
     probability_matrix,
 )
+from trinu import oscillation
 from trinu.oscillation import (
     FLAVORS,
     amplitude_array,
@@ -45,11 +46,19 @@ class TestParams:
     def test_accepts_inverted_ordering(self):
         p = OscillationParams(dm2_21=7.5e-5, dm2_31=-2.382e-3, dm2_32=-2.457e-3)
         assert p.dm2_31 < 0.0
-        assert sum(probabilities(p, "mu", 500.0).as_tuple()) == pytest.approx(1.0)
+        assert sum(probabilities(p, "mu", 500.0)) == pytest.approx(1.0)
 
     def test_inconsistent_splittings_warn(self):
         with pytest.warns(UserWarning, match="inconsistent"):
             OscillationParams(dm2_32=1e-3)
+
+    def test_splitting_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="inconsistent") as record:
+            OscillationParams(dm2_32=1e-3)
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="inconsistent") as record:
+            OscillationParams.from_dict({"dm2_31": 2.5e-3})
+        assert record[0].filename == oscillation.__file__
 
     def test_from_dict_merges_defaults(self):
         p = OscillationParams.from_dict({"theta23": 45.0})
@@ -133,13 +142,13 @@ class TestAmplitudes:
 
 class TestProbabilities:
     def test_delta_term_only_at_zero(self, params):
-        assert probabilities(params, "e", 0.0).as_tuple() == (1.0, 0.0, 0.0)
+        assert probabilities(params, "e", 0.0) == (1.0, 0.0, 0.0)
 
     def test_muon_points(self, params):
         p = probabilities(params, "mu", 262.2)
-        assert np.allclose(p.as_tuple(), (0.024, 0.488, 0.488), atol=0.005)
+        assert np.allclose(p, (0.024, 0.488, 0.488), atol=0.005)
         p = probabilities(params, "mu", 479.9)
-        assert np.allclose(p.as_tuple(), (0.041, 0.022, 0.937), atol=0.005)
+        assert np.allclose(p, (0.041, 0.022, 0.937), atol=0.005)
 
     @settings(max_examples=200, deadline=None)
     @given(physics_params(), st.sampled_from(FLAVORS), st.floats(0.0, 2e4))
@@ -147,7 +156,7 @@ class TestProbabilities:
         probs = probabilities(p, flavor, le)
         a = amplitudes(p, flavor, le)
         expected = [abs(x) ** 2 for x in a]
-        assert np.allclose(probs.as_tuple(), expected, atol=1e-12)
+        assert np.allclose(probs, expected, atol=1e-12)
 
     @pytest.mark.parametrize("le", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_le(self, params, le):
@@ -230,7 +239,7 @@ class TestParticle:
 
     def test_mu_to_e_is_the_antineutrino_probability(self):
         params = OscillationParams(delta_cp=-90.0)
-        p_mu_e = probabilities(params, "mu", 500.0).p_e
+        p_mu_e = probabilities(params, "mu", 500.0)[0]
         expected = pdg_probability(params, 1, 0, 500.0, antineutrino=True)
         assert expected == pytest.approx(0.0270942, abs=5e-8)
         assert p_mu_e == pytest.approx(expected, abs=1e-12)
@@ -239,7 +248,7 @@ class TestParticle:
         assert neutrino == pytest.approx(0.0522735, abs=5e-8)
 
     def test_opposite_phase_gives_the_neutrino_value(self):
-        p_mu_e = probabilities(OscillationParams(delta_cp=90.0), "mu", 500.0).p_e
+        p_mu_e = probabilities(OscillationParams(delta_cp=90.0), "mu", 500.0)[0]
         assert p_mu_e == pytest.approx(0.0522735, abs=5e-8)
         neutrino = pdg_probability(OscillationParams(delta_cp=-90.0), 1, 0, 500.0,
                                    antineutrino=False)

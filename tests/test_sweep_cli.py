@@ -1,7 +1,9 @@
+import dataclasses
 import io
 import json
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from trinu import (
     triangle_record,
 )
 from trinu import sweep
-from trinu.cli import build_parser, load_preset, main
+from trinu.cli import _config_from_args, build_parser, load_preset, main
 from trinu.sweep import (
     CSV_COLUMNS,
     SLOPE_COLUMNS,
@@ -123,6 +125,29 @@ class TestConfig:
         assert (m.initial, m.unit, m.scale) == ("mu", "km/GeV", "log")
         assert m.le_min == 10.0 and m.le_max == 1600.0
 
+    @pytest.mark.parametrize("cfg", [
+        load_preset("muon"),
+        # the electron preset's grid, from a positive L/E
+        small_config(le_min=0.1, points=4001, scale="log"),
+        small_config(le_min=1e-3, le_max=7.0, points=2, scale="log"),
+        small_config(le_min=0.5, le_max=0.5000001, points=3, scale="log"),
+        small_config(le_min=3.3, le_max=1e6, points=100003, unit="km/GeV", scale="log"),
+    ], ids=["muon", "electron", "two-points", "narrow", "wide"])
+    def test_log_grid_equals_geomspace(self, cfg):
+        expected = np.geomspace(cfg.le_min, cfg.le_max, cfg.points) * cfg.unit_factor()
+        assert np.array_equal(cfg.grid().view(np.uint64), expected.view(np.uint64))
+
+    def test_log_grid_holds_one_grid_sized_array(self):
+        cfg = small_config(initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
+                           points=10 ** 6, scale="log")
+        tracemalloc.start()
+        try:
+            grid = cfg.grid()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grid.nbytes
+
 
 class TestFormatting:
     @pytest.mark.parametrize("x,text", [
@@ -224,9 +249,7 @@ class TestRunSweep:
         ))
         for row in table:
             rep = report(params, "mu", row[0], path="generic")
-            expected = (row[0], *rep.probabilities.as_tuple(), *rep.measures(),
-                        *rep.triangle.edges())
-            assert tuple(row) == expected
+            assert tuple(row) == tuple(rep.values())
 
     @pytest.mark.parametrize("path", ["closed-form", "generic"])
     @pytest.mark.parametrize("preset", ["electron", "muon"])
@@ -235,8 +258,7 @@ class TestRunSweep:
         cfg.path = path
         _, table = swept(cfg)
         reps = [report(params, cfg.initial, x, path=path) for x in table[:, 0]]
-        rows = np.array([(r.le, *r.probabilities.as_tuple(), *r.measures(),
-                          *r.triangle.edges()) for r in reps])
+        rows = np.array([list(r.values()) for r in reps])
         differ = np.any(rows.view(np.uint64) != table.view(np.uint64), axis=1)
         assert not differ.any(), f"{differ.sum()} of {len(rows)} rows differ"
 
@@ -245,7 +267,7 @@ class TestRunSweep:
         cfg = load_preset(preset)
         cfg.path = "both"
         _, emitted = swept(cfg)
-        probs = np.array([probabilities(params, cfg.initial, x).as_tuple()
+        probs = np.array([probabilities(params, cfg.initial, x)
                           for x in emitted[:, 0]])
         for table in (emitted, generic_table(params, cfg)):
             differ = np.any(probs.view(np.uint64) != table[:, 1:4].view(np.uint64), axis=1)
@@ -469,24 +491,24 @@ class TestStreaming:
 class TestFindExtremum:
     def test_electron_fill_maximum(self):
         rec = find_extremum(small_config(points=401), "fill", "max", (8.0, 13.0))
-        assert rec.value == pytest.approx(0.89, abs=0.01)
-        assert rec.le / 1000.0 == pytest.approx(10.83, abs=0.05)
-        assert not rec.boundary
+        assert rec["value"] == pytest.approx(0.89, abs=0.01)
+        assert rec["le_km_per_GeV"] / 1000.0 == pytest.approx(10.83, abs=0.05)
+        assert not rec["boundary"]
 
     def test_electron_ggm_maximum(self):
         rec = find_extremum(small_config(points=401), "ggm", "max", (8.0, 13.0))
-        assert rec.value == pytest.approx(0.32, abs=0.01)
+        assert rec["value"] == pytest.approx(0.32, abs=0.01)
 
     def test_muon_fill_first_dip_location(self):
         cfg = small_config(initial="mu", le_min=10.0, le_max=1600.0,
                            unit="km/GeV", scale="log")
         rec = find_extremum(cfg, "fill", "min", (400.0, 600.0))
-        assert rec.le == pytest.approx(513.4, abs=2.0)
+        assert rec["le_km_per_GeV"] == pytest.approx(513.4, abs=2.0)
 
     def test_value_matches_direct_evaluation(self, params):
         rec = find_extremum(small_config(points=401), "gmc", "max", (8.0, 13.0))
-        assert rec.value == pytest.approx(
-            getattr(report(params, "e", rec.le), "gmc"), abs=1e-12
+        assert rec["value"] == pytest.approx(
+            report(params, "e", rec["le_km_per_GeV"])["gmc"], abs=1e-12
         )
 
     @pytest.mark.parametrize("path", ["closed-form", "generic"])
@@ -501,8 +523,8 @@ class TestFindExtremum:
             cfg = small_config(initial="mu", le_min=10.0, le_max=1600.0,
                                unit="km/GeV", scale="log", path=path)
         rec = find_extremum(cfg, measure, kind, window)
-        assert not rec.boundary
-        assert rec.value == getattr(report(params, initial, rec.le, path), measure)
+        assert not rec["boundary"]
+        assert rec["value"] == report(params, initial, rec["le_km_per_GeV"], path)[measure]
 
     @pytest.mark.parametrize("path", ["closed-form", "generic"])
     def test_makes_no_report_call(self, monkeypatch, path):
@@ -546,7 +568,7 @@ class TestFindExtremum:
         rec = find_extremum(small_config(path=path), measure, "max",
                             (10.83, 10.8300000000001))
         assert len(calls) <= 4
-        assert rec.bracket[0] <= rec.le <= rec.bracket[1]
+        assert rec["bracket"][0] <= rec["le_km_per_GeV"] <= rec["bracket"][1]
 
     @pytest.mark.parametrize("path", ["closed-form", "generic"])
     @pytest.mark.parametrize("initial,kind,window", [
@@ -556,7 +578,7 @@ class TestFindExtremum:
                                                       kind, window, path):
         calls = self.count_tables(monkeypatch)
         rec = find_extremum(self.window_config(initial, path), "fill", kind, window)
-        assert not rec.boundary
+        assert not rec["boundary"]
         assert calls[0] == sweep.SCAN_POINTS
         assert calls[1:] == [sweep.ZOOM_POINTS] * (len(calls) - 1)
         assert len(calls) <= 4
@@ -564,7 +586,7 @@ class TestFindExtremum:
     def test_boundary_query_makes_one_table(self, monkeypatch):
         calls = self.count_tables(monkeypatch)
         rec = find_extremum(small_config(), "fill", "max", (0.0, 0.3))
-        assert rec.boundary
+        assert rec["boundary"]
         assert calls == [sweep.SCAN_POINTS]
 
     @pytest.mark.parametrize("measure", ["ggm", "gmc"])
@@ -574,7 +596,7 @@ class TestFindExtremum:
         grid = np.linspace(lo, hi, 4097)
         scan = measures.table(params, "e", grid)[:, CSV_COLUMNS.index(measure)]
         slope = np.max(np.abs(np.diff(scan))) / (grid[1] - grid[0])
-        assert rec.value >= scan.max() - slope * 1e-6 * (hi - lo)
+        assert rec["value"] >= scan.max() - slope * 1e-6 * (hi - lo)
 
     @pytest.mark.parametrize("measure", measures.MEASURE_NAMES)
     @pytest.mark.parametrize("initial,kind,window,factor", [
@@ -583,15 +605,26 @@ class TestFindExtremum:
     def test_bracket_holds_location_within_tolerance(self, initial, kind, window,
                                                      factor, measure):
         rec = find_extremum(self.window_config(initial), measure, kind, window)
-        a, b = rec.bracket
-        assert a <= rec.le <= b
+        a, b = rec["bracket"]
+        assert a <= rec["le_km_per_GeV"] <= b
         assert b - a <= 1e-6 * (window[1] - window[0]) * factor
+
+    @pytest.mark.parametrize("window", [(8.0, 13.0), (0.0, 0.3)])
+    def test_record_is_what_the_cli_writes(self, capsys, window):
+        argv = ["extremum", "--measure", "fill", "--kind", "max",
+                "--window", *map(str, window)]
+        assert main(argv) == 0
+        written = json.loads(capsys.readouterr().out)
+        rec = find_extremum(SweepConfig(), "fill", "max", window)
+        assert written == json.loads(json.dumps(rec))
+        assert list(written) == list(rec) == [
+            "kind", "measure", "le_km_per_GeV", "value", "bracket", "boundary"]
 
     def test_boundary_extremum_flagged(self):
         # fill rises monotonically from the origin, so the max sits on the edge
         rec = find_extremum(small_config(), "fill", "max", (0.0, 0.3))
-        assert rec.boundary
-        assert rec.le == pytest.approx(300.0)
+        assert rec["boundary"]
+        assert rec["le_km_per_GeV"] == pytest.approx(300.0)
 
     def test_rejects_window_outside_range(self):
         with pytest.raises(ConfigError, match="window"):
@@ -610,6 +643,12 @@ class TestTriangleRecord:
         rec = triangle_record(params, "mu", 1130.0)
         assert rec["sqrt_area"] == pytest.approx(0.13, abs=0.02)
         assert rec["shortest_edge"] == pytest.approx(0.08, abs=0.02)
+
+    def test_record_is_what_the_cli_writes(self, params, capsys):
+        assert main(["triangle", "--initial", "mu", "--le", "262.2", "--unit", "km/GeV",
+                     "--json"]) == 0
+        written = json.loads(capsys.readouterr().out)
+        assert written == json.loads(json.dumps(triangle_record(params, "mu", 262.2)))
 
     def test_text_block_mentions_every_quantity(self, params):
         text = triangle_text(triangle_record(params, "e", 4610.0))
@@ -710,6 +749,40 @@ class TestCli:
         prefix = "max |closed-form - generic|: "
         line = next(line for line in err.splitlines() if line.startswith(prefix))
         assert float(line[len(prefix):]) <= 1e-10
+
+    #: Each SweepConfig field, the flag that sets it, a value for the flag
+    #: and the value the field then holds.
+    FLAGS = {
+        "initial": ("--initial", "mu", "mu"),
+        "unit": ("--unit", "km/GeV", "km/GeV"),
+        "path": ("--path", "both", "both"),
+        "params_file": ("--params", "p.json", "p.json"),
+        "output": ("--output", "o.json", "o.json"),
+        "le_min": ("--le-min", "2", 2.0),
+        "le_max": ("--le-max", "30", 30.0),
+        "points": ("--points", "7", 7),
+        "scale": ("--scale", "log", "log"),
+    }
+    GRID_FIELDS = ("le_min", "le_max", "points", "scale")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        ["extremum", "--measure", "fill", "--kind", "max", "--window", "8", "13"],
+        ["triangle", "--le", "4.61"],
+    ], ids=lambda argv: argv[0])
+    def test_each_flag_sets_the_field_of_its_name(self, argv):
+        flags = {name: flag for name, flag in self.FLAGS.items()
+                 if argv[0] != "triangle" or name not in self.GRID_FIELDS}
+        args = build_parser().parse_args(
+            argv + [arg for flag, value, _ in flags.values() for arg in (flag, value)])
+        expected = dataclasses.asdict(SweepConfig())
+        expected.update({name: field_value for name, (_, _, field_value) in flags.items()})
+        assert dataclasses.asdict(_config_from_args(args)) == expected
+
+    def test_triangle_takes_no_grid_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["triangle", "--le", "4.61", "--points", "7"])
+        assert exit_.value.code == 2
 
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--le-min", "10", "--le-max", "5"]) == 2
