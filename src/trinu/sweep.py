@@ -103,11 +103,7 @@ class SweepConfig:
     def grid(self):
         """The L/E grid in km/GeV, ascending."""
         if self.scale == "log":
-            # np.geomspace's steps, taken in place: geomspace itself holds
-            # three grid-sized arrays at once
-            g = np.linspace(np.log10(self.le_min), np.log10(self.le_max), self.points)
-            np.power(10.0, g, out=g)
-            g[0], g[-1] = self.le_min, self.le_max
+            g = np.geomspace(self.le_min, self.le_max, self.points)
         else:
             g = np.linspace(self.le_min, self.le_max, self.points)
         g *= self.unit_factor()  # in place: a scaled copy would double the largest array

@@ -3,7 +3,6 @@ import io
 import json
 import os
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,29 +123,6 @@ class TestConfig:
         m = load_preset("muon")
         assert (m.initial, m.unit, m.scale) == ("mu", "km/GeV", "log")
         assert m.le_min == 10.0 and m.le_max == 1600.0
-
-    @pytest.mark.parametrize("cfg", [
-        load_preset("muon"),
-        # the electron preset's grid, from a positive L/E
-        small_config(le_min=0.1, points=4001, scale="log"),
-        small_config(le_min=1e-3, le_max=7.0, points=2, scale="log"),
-        small_config(le_min=0.5, le_max=0.5000001, points=3, scale="log"),
-        small_config(le_min=3.3, le_max=1e6, points=100003, unit="km/GeV", scale="log"),
-    ], ids=["muon", "electron", "two-points", "narrow", "wide"])
-    def test_log_grid_equals_geomspace(self, cfg):
-        expected = np.geomspace(cfg.le_min, cfg.le_max, cfg.points) * cfg.unit_factor()
-        assert np.array_equal(cfg.grid().view(np.uint64), expected.view(np.uint64))
-
-    def test_log_grid_holds_one_grid_sized_array(self):
-        cfg = small_config(initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
-                           points=10 ** 6, scale="log")
-        tracemalloc.start()
-        try:
-            grid = cfg.grid()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * grid.nbytes
 
 
 class TestFormatting:
