@@ -23,11 +23,7 @@ import numpy as np
 
 from . import linalg, tristate
 from ._backend import eigvalsh_small
-from .oscillation import (
-    amplitude_array,
-    checked_probabilities,
-    probability_array,
-)
+from .oscillation import amplitude_array, checked_probabilities
 
 #: Probabilities below this are treated as exact zeros in the closed forms.
 PROB_SNAP = 1e-15
@@ -102,24 +98,24 @@ def _closed_form(p):
     Heron evaluation on snapped edges.
     """
     p = np.where(p < PROB_SNAP, 0.0, p)
-    total = p.sum(axis=-1, keepdims=True)
-    # edges 4 P_x (P_y + P_z)
-    edges = _snap(4.0 * p * (total - p))
-    # 1 minus the largest single-qubit Schmidt eigenvalue over all splits
-    ggm = _snap(1.0 - np.maximum(p, total - p).max(axis=-1))
-    # average residual negativity-squared of the three one-qubit focuses
     pe, pm, pt = p[..., 0], p[..., 1], p[..., 2]
-    s = (
-        -pe ** 2 - pm ** 2 - pt ** 2
-        + pe * np.sqrt(pe ** 2 + 4.0 * pm * pt)
-        + pm * np.sqrt(pm ** 2 + 4.0 * pe * pt)
-        + pt * np.sqrt(pt ** 2 + 4.0 * pe * pm)
-    )
-    three_pi = _snap(4.0 / 3.0 * s)
+    # P_y + P_z for each P_x, in place of 1 - P_x, which cancels as P_x nears 1
+    rest = np.stack([pm + pt, pe + pt, pe + pm], axis=-1)
+    # edges 4 P_x (P_y + P_z)
+    edges = _snap(4.0 * p * rest)
+    # 1 minus the largest single-qubit eigenvalue max(P_x, P_y + P_z): the smallest
+    ggm = _snap(np.minimum(p, rest).min(axis=-1))
+    # average residual negativity-squared of the three one-qubit focuses,
+    # 4/3 sum_x P_x (sqrt(P_x^2 + 4 P_y P_z) - P_x), with each difference as
+    # 4 P_y P_z / (P_x + sqrt(...)), which does not cancel near product
+    # states; a denominator is 0 only at basis states, where the product is
+    product = pe * pm * pt
+    den = p + np.sqrt(p ** 2 + 4.0 * np.stack([pm * pt, pe * pt, pe * pm], axis=-1))
+    three_pi = _snap(16.0 / 3.0 * product * (1.0 / np.where(den > 0.0, den, 1.0)).sum(axis=-1))
     # the shortest edge (squared convention)
     gmc = _snap(edges.min(axis=-1))
     # the concurrence fill via the explicit W-class product formula
-    inner = (pe * pm * pt) ** 2 * (pm * pt + pe * (pm + pt)) / 3.0
+    inner = product ** 2 * (pm * pt + pe * (pm + pt)) / 3.0
     fill = np.where(gmc > 0.0, _snap(8.0 * np.maximum(inner, 0.0) ** 0.25), 0.0)
     return np.stack([ggm, three_pi, gmc, fill], axis=-1), edges
 
@@ -206,15 +202,16 @@ def _generic_chunk(amps):
     edges = _snap(4.0 * det)
     check_triangles(edges)
     # largest eigenvalue of each 2x2 Hermitian [[a, b*], [b, d]]:
-    # (a + d)/2 + hypot((a - d)/2, |b|)
+    # (a + d)/2 + hypot((a - d)/2, |b|); the smallest is det over it, which
+    # unlike 1 minus it does not cancel near product states
     a, d = singles[..., 0, 0].real, singles[..., 1, 1].real
-    lam = ((a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(singles[..., 1, 0]))).max(axis=-1)
+    lam = (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(singles[..., 1, 0]))
     n_ab, n_ac, n_bc = np.moveaxis(_negativity(pairs) ** 2, -1, 0)
     pi_a = edges[..., 0] - n_ab - n_ac
     pi_b = edges[..., 1] - n_ab - n_bc
     pi_c = edges[..., 2] - n_ac - n_bc
     values = np.stack([
-        _snap(1.0 - lam),
+        _snap((det / lam).min(axis=-1)),
         _snap((pi_a + pi_b + pi_c) / 3.0),
         _snap(edges.min(axis=-1)),
         heron_fill(edges),
@@ -249,7 +246,7 @@ def _state_measures(state):
 
 
 def ggm(state):
-    """1 minus the largest eigenvalue among the three one-qubit reductions."""
+    """The smallest eigenvalue among the three one-qubit reductions (1 minus the largest)."""
     return _state_measures(state)[0]
 
 
@@ -279,17 +276,20 @@ def table(params, initial, le, path="closed-form"):
     """Probabilities, the four measures and the triangle edges over an L/E array.
 
     ``le`` is a 1-D array of L/E values (km/GeV).  Returns an (n, 11) array
-    whose columns are ``CSV_COLUMNS``.  The probabilities and the triangles
+    whose columns are ``CSV_COLUMNS``.  Both routes take the probabilities
+    |a|^2 of one amplitude evaluation; the closed form works from them, the
+    generic route from the amplitudes.  The probabilities and the triangles
     are validated on either route.
     """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
-    probs = checked_probabilities(probability_array(params, initial, le))
+    amps = amplitude_array(params, initial, le)
+    probs = checked_probabilities(amps.real ** 2 + amps.imag ** 2)
     if path == "closed-form":
         vals, edges = _closed_form(probs)
         check_triangles(edges)
     else:
-        vals, edges = generic_measures(amplitude_array(params, initial, le))
+        vals, edges = generic_measures(amps)
     return np.column_stack([le, probs, vals, edges])
 
 

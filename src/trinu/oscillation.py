@@ -149,12 +149,21 @@ def amplitude_array(params, initial, le):
     le = _checked_le(le)
     a = _flavor_index(initial)
     u = build_pmns(params)
-    # phases relative to mass state 1; only splittings are observable
-    rates = 2.0 * PHASE_CONST * np.array([0.0, params.dm2_21, params.dm2_31])
-    phases = np.exp(-1j * (le[..., None] * rates))
-    # einsum rather than matmul: a batched BLAS product would round rows
-    # differently from the same product taken one point at a time
-    return np.einsum("...k,kb->...b", u[a] * phases, u.conj().T)
+    # half phases relative to mass state 1; only splittings are observable
+    half = le[..., None] * (PHASE_CONST * np.array([0.0, params.dm2_21, params.dm2_31]))
+    sin, cos = np.sin(half), np.cos(half)
+    # a_beta = delta_ab + sum_k (exp(-i phi_k) - 1) U_ak U*_bk, with
+    # exp(-i phi) - 1 = -2 sin(phi/2) (sin(phi/2) + i cos(phi/2)): exactly the
+    # basis state at L/E = 0, where sum_k U_ak U*_bk is not exactly delta_ab
+    # in floating point.  The -2 goes into the weights.  einsum rather than
+    # matmul: a batched BLAS product would round rows differently from the
+    # same product taken one point at a time
+    factor = np.empty(half.shape, dtype=np.complex128)
+    factor.real, factor.imag = sin * sin, sin * cos
+    weights = -2.0 * u[a][:, None] * u.conj().T
+    amps = np.einsum("...k,kb->...b", factor, weights)
+    amps[..., a] += 1.0
+    return amps
 
 
 def amplitudes(params, initial, le):
@@ -166,36 +175,10 @@ def amplitudes(params, initial, le):
     return tuple(amplitude_array(params, initial, np.array([float(le)]))[0].tolist())
 
 
-_PAIRS = ((1, 0), (2, 0), (2, 1))  # (k, l) with k > l
-
-
 def probability_array(params, initial, le):
-    """Transition probabilities to (e, mu, tau) over an array of L/E values.
-
-    Evaluated through the interference-sum formula (delta term minus the
-    real-part sin^2 series plus the imaginary-part sin series), not through
-    |amplitudes|^2; the two must agree, which the tests exercise.
-    """
-    le = _checked_le(le)
-    a = _flavor_index(initial)
-    u = build_pmns(params)
-    # the splittings of amplitude_array's phases, so the two formulas agree
-    dm2 = (0.0, params.dm2_21, params.dm2_31)
-    sines = []
-    for k, l in _PAIRS:
-        arg = PHASE_CONST * (dm2[k] - dm2[l]) * le
-        sines.append((np.sin(arg) ** 2, np.sin(2.0 * arg)))
-    out = np.empty(le.shape + (3,), dtype=np.float64)
-    for b in range(3):
-        p = np.full(le.shape, 1.0 if a == b else 0.0)
-        for (k, l), (sin_sq, sin_2) in zip(_PAIRS, sines):
-            quartic = np.conj(u[a, k]) * u[b, k] * u[a, l] * np.conj(u[b, l])
-            # the imaginary term's sign is fixed by the e^{-i phi_k} evolution
-            # convention of amplitudes(); it vanishes at delta_cp = 0
-            p = p - 4.0 * quartic.real * sin_sq
-            p = p - 2.0 * quartic.imag * sin_2
-        out[..., b] = p
-    return out
+    """Transition probabilities |a_beta|^2 to (e, mu, tau) over an array of L/E values."""
+    amps = amplitude_array(params, initial, le)
+    return amps.real ** 2 + amps.imag ** 2
 
 
 def probabilities(params, initial, le):

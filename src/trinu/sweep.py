@@ -154,9 +154,12 @@ class _SummaryFold:
         minima, maxima = _grid_local_extrema(window[:, _GMC])
         self.minima += minima
         self.maxima += maxima
-        # switches between carried rows were counted with the chunk before
-        arg = window[max(len(self.tail) - 1, 0):, _EDGES].argmin(axis=1)
-        self.kinks += int(np.sum(arg[1:] != arg[:-1]))
+        # a kink is a switch of the shortest edge between two rows where it,
+        # the gmc, is > 0, so a tie at a basis state is none; switches between
+        # carried rows were counted with the chunk before
+        since = window[max(len(self.tail) - 1, 0):]
+        arg, kept = since[:, _EDGES].argmin(axis=1), since[:, _GMC] > 0.0
+        self.kinks += int(np.sum((arg[1:] != arg[:-1]) & kept[1:] & kept[:-1]))
         margin = rows[:, _FILL] - rows[:, _GMC]
         worst = int(np.argmin(margin))
         if margin[worst] < self.margin:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,31 @@ class TestConcurrenceFill:
         assert heron_fill(np.array([0.5, 0.3, 0.8000001])) == 0.0
 
 
+#: States with a zero probability: two basis states and a two-flavor state.
+DEGENERATE_PROBS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0))
+
+
+class TestZeroProbabilities:
+    """The closed forms divide only where no 0/0 or 0 * inf can arise."""
+
+    @pytest.mark.parametrize("p", DEGENERATE_PROBS)
+    def test_degenerate_state_measures_zero_without_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measures_from_probs(np.array(p)).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_degenerate_rows_in_a_stack(self, rng):
+        p = rng.dirichlet(np.ones(3), size=9)
+        degenerate = [1, 4, 8]
+        p[degenerate] = DEGENERATE_PROBS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = measures_from_probs(p)
+        assert np.all(values[degenerate] == 0.0)
+        generic = np.setdiff1d(np.arange(9), degenerate)
+        assert np.all(values[generic] > 0.0)
+
+
 class TestGenericMeasures:
     def test_rows_equal_scalar_calls(self, rng):
         probs = rng.dirichlet(np.ones(3), size=20)
@@ -373,10 +399,15 @@ class TestClosedFormInvariants:
 
 
 class TestReport:
-    def test_all_zero_at_origin(self, params):
-        for path in ("closed-form", "generic"):
-            rep = report(params, "e", 0.0, path=path)
-            assert tuple(rep[m] for m in MEASURE_NAMES) == (0.0, 0.0, 0.0, 0.0)
+    @pytest.mark.parametrize("path", ["closed-form", "generic"])
+    @pytest.mark.parametrize("params", [OscillationParams(), OscillationParams(delta_cp=-90.0)],
+                             ids=["default", "cp"])
+    @pytest.mark.parametrize("flavor", ["e", "mu", "tau"])
+    def test_all_zero_at_origin(self, params, flavor, path):
+        rep = report(params, flavor, 0.0, path=path)
+        basis = tuple(1.0 if f == flavor else 0.0 for f in ("e", "mu", "tau"))
+        assert (rep["p_e"], rep["p_mu"], rep["p_tau"]) == basis
+        assert tuple(rep[m] for m in MEASURE_NAMES) == (0.0, 0.0, 0.0, 0.0)
 
     def test_electron_fill_near_equipartition(self, params):
         rep = report(params, "e", 10830.0, path="closed-form")

@@ -24,6 +24,34 @@ from trinu.oscillation import (
 
 from conftest import physics_params
 
+#: A CP-violating parameter set, so the mixing matrix has imaginary parts.
+CP_PARAMS = OscillationParams(delta_cp=-90.0)
+
+
+def interference_sum(params, initial, le):
+    """Probabilities to (e, mu, tau) from the interference-sum formula.
+
+    delta_ab - 4 sum_{k>l} Re(X_kl) sin^2(x_kl) - 2 sum_{k>l} Im(X_kl) sin(2 x_kl),
+    with X_kl = U*_ak U_bk U_al U*_bl and x_kl = 1.27 dm2_kl L/E.  The sign of
+    the imaginary term is fixed by the exp(-i phi_k) evolution convention of
+    the amplitudes.  trinu evaluates |amplitude|^2; this is the independent
+    check.
+    """
+    le = np.asarray(le, dtype=np.float64)
+    a = FLAVORS.index(initial)
+    u = build_pmns(params)
+    # the splittings of the amplitudes' phases
+    dm2 = (0.0, params.dm2_21, params.dm2_31)
+    out = np.empty(le.shape + (3,))
+    for b in range(3):
+        p = np.full(le.shape, 1.0 if a == b else 0.0)
+        for k, l in ((1, 0), (2, 0), (2, 1)):
+            arg = 1.27 * (dm2[k] - dm2[l]) * le
+            quartic = np.conj(u[a, k]) * u[b, k] * u[a, l] * np.conj(u[b, l])
+            p = p - 4.0 * quartic.real * np.sin(arg) ** 2 - 2.0 * quartic.imag * np.sin(2.0 * arg)
+        out[..., b] = p
+    return out
+
 
 class TestParams:
     def test_defaults_are_consistent(self):
@@ -141,8 +169,12 @@ class TestAmplitudes:
 
 
 class TestProbabilities:
-    def test_delta_term_only_at_zero(self, params):
-        assert probabilities(params, "e", 0.0) == (1.0, 0.0, 0.0)
+    @pytest.mark.parametrize("p", [OscillationParams(), CP_PARAMS], ids=["default", "cp"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_delta_term_only_at_zero(self, p, flavor):
+        basis = tuple(1.0 if f == flavor else 0.0 for f in FLAVORS)
+        assert probabilities(p, flavor, 0.0) == basis
+        assert amplitudes(p, flavor, 0.0) == basis
 
     def test_muon_points(self, params):
         p = probabilities(params, "mu", 262.2)
@@ -154,9 +186,7 @@ class TestProbabilities:
     @given(physics_params(), st.sampled_from(FLAVORS), st.floats(0.0, 2e4))
     def test_matches_squared_amplitudes(self, p, flavor, le):
         probs = probabilities(p, flavor, le)
-        a = amplitudes(p, flavor, le)
-        expected = [abs(x) ** 2 for x in a]
-        assert np.allclose(probs, expected, atol=1e-12)
+        assert np.allclose(probs, interference_sum(p, flavor, le), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("le", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_le(self, params, le):

@@ -309,7 +309,12 @@ class TestRunSweep:
             initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
             scale="log", points=1000,
         ))
-        assert abs(summary["gmc_kinks"] - 6) <= 1
+        assert summary["gmc_kinks"] == 6
+
+    @pytest.mark.parametrize("preset,kinks", [("electron", 69), ("muon", 6)])
+    def test_preset_kink_counts(self, preset, kinks):
+        # the electron preset's tie of three zero edges at L/E = 0 is no kink
+        assert run_sweep(load_preset(preset))["gmc_kinks"] == kinks
 
     def test_slope_table_shape(self):
         _, table = swept(small_config(points=101))
@@ -404,8 +409,9 @@ class TestStreaming:
         diff = np.abs(table - generic)
         for j, name in enumerate(CSV_COLUMNS[1:], start=1):
             assert summary["path_discrepancy_by_column"][name]["le"] == np.argmax(diff[:, j])
-        arg = table[:, 8:].argmin(axis=1)
-        assert summary["gmc_kinks"] == np.sum(arg[1:] != arg[:-1])
+        # a kink is a shortest-edge switch between rows whose gmc is > 0
+        arg, kept = table[:, 8:].argmin(axis=1), column["gmc"] > 0.0
+        assert summary["gmc_kinks"] == np.sum((arg[1:] != arg[:-1]) & kept[1:] & kept[:-1])
 
     def test_cli_table_calls_stay_within_a_chunk(self, tmp_path, monkeypatch):
         rows = []
