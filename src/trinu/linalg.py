@@ -54,6 +54,9 @@ def _check_psd(m):
     test is one batched Cholesky factorization of ``m + PSD_TOL * I``, which
     exists exactly when the smallest eigenvalue of ``m`` is above
     ``-PSD_TOL``.  The eigenvalues are computed only to report a failure.
+    This is the general test, for any Hermitian matrix, that
+    ``measures.negativity`` uses; the generic route tests its X-state
+    reductions with ``_check_x_psd`` instead.
     """
     try:
         np.linalg.cholesky(m + PSD_TOL * np.eye(m.shape[-1]))
@@ -62,6 +65,63 @@ def _check_psd(m):
         raise ValueError(
             f"matrix is not PSD: min eigenvalue {w:.3e} is below {-PSD_TOL:.1e}"
         ) from None
+
+
+#: Entries of a 4x4 matrix outside the X pattern (diagonal and anti-diagonal).
+_OFF_X = (np.array([0, 0, 1, 1, 2, 2, 3, 3]), np.array([1, 2, 0, 3, 0, 3, 1, 2]))
+
+
+def _x_spectra(m):
+    """X-block eigenvalues of a Hermitian (..., 4, 4) stack and its partial transpose.
+
+    Returns ``off``, shape (...), the largest |entry| outside the X pattern;
+    the eigenvalues of the blocks {|00>, |11>} and {|01>, |10>} of ``m`` as
+    (..., 4), (smaller, larger) of the first block, then of the second; and
+    the same for the partial transpose of ``m``.  A partial transpose, on
+    either qubit, maps the X pattern onto itself: it keeps the diagonal and
+    trades the blocks' off-diagonal entries, so its blocks take |m[1, 2]|
+    and |m[0, 3]| where those of ``m`` take |m[3, 0]| and |m[2, 1]|.
+
+    Each block [[a, b*], [b, d]] has eigenvalues (a + d)/2 -+ hypot((a - d)/2,
+    |b|).  Where a + d > 0 the smaller is det over the larger, which does not
+    cancel when it is near 0.  Elsewhere the sum for the larger can cancel to
+    a rounding residue of either sign, which makes that quotient
+    meaningless, while the difference for the smaller does not cancel.
+    """
+    diag = np.diagonal(m, axis1=-2, axis2=-1).real
+    a, d = diag[..., [0, 1, 0, 1]], diag[..., [3, 2, 3, 2]]
+    b = m[..., [3, 2, 1, 0], [0, 1, 2, 3]]
+    mean = (a + d) / 2.0
+    radius = np.hypot((a - d) / 2.0, np.abs(b))
+    hi = mean + radius
+    det = a * d - (b.real ** 2 + b.imag ** 2)
+    positive = mean > 0.0
+    lo = np.where(positive, det / np.where(positive, hi, 1.0), mean - radius)
+    off = np.abs(m[..., _OFF_X[0], _OFF_X[1]]).max(axis=-1)
+    w = np.stack([lo, hi], axis=-1).reshape(m.shape[:-2] + (2, 4))
+    return off, w[..., 0, :], w[..., 1, :]
+
+
+def _check_x_psd(off, w):
+    """Raise ``ValueError`` unless ``_x_spectra(m)[:2]`` shows an X-shaped, PSD ``m``.
+
+    Every entry outside the X pattern must be within ``HERMITICITY_TOL`` of
+    zero.  That off-X part is Hermitian with at most two entries per row, so
+    its spectral norm is at most twice its largest entry, and (Weyl) every
+    eigenvalue of the matrix is within that of an X-block eigenvalue.  So
+    the smallest block eigenvalue minus twice the largest off-X entry must
+    exceed ``-PSD_TOL``: a test never weaker than ``_check_psd``.
+    """
+    worst = float(off.max())
+    if not worst <= HERMITICITY_TOL:  # NaN fails too
+        raise ValueError(
+            f"matrix is not an X state: off-X entry {worst:.3e} exceeds {HERMITICITY_TOL:.1e}"
+        )
+    low = float((w.min(axis=-1) - 2.0 * off).min())
+    if not low > -PSD_TOL:
+        raise ValueError(
+            f"matrix is not PSD: min eigenvalue bound {low:.3e} is below {-PSD_TOL:.1e}"
+        )
 
 
 def _qubit_axes(keep):

@@ -3,8 +3,9 @@
 Every measure is available along two independent routes:
 
 * a *generic* route that works on the 8x8 density matrix through partial
-  traces, partial transposes and Hermitian eigensolves, batched over stacks
-  of states, and
+  traces and the spectra of the two-qubit reductions and of their partial
+  transposes, batched over stacks of states.  Those reductions are X
+  states, so all these spectra come in closed form from 2x2 blocks, and
 * a *closed-form* route expressed directly in the three oscillation
   probabilities.
 
@@ -150,8 +151,8 @@ def heron_fill(edges):
 
 
 # ---------------------------------------------------------------------------
-# generic route: density-matrix reductions and eigensolves, batched over
-# stacks of states.
+# generic route: density-matrix reductions and their closed-form X-block
+# spectra, batched over stacks of states.
 # ---------------------------------------------------------------------------
 
 #: States per batch of the generic route; bounds its working memory.
@@ -163,27 +164,25 @@ def negativity(rho):
 
     ``rho`` is one 4x4 density matrix, giving a float, or a (..., 4, 4)
     stack, giving an array of shape (...).  Every matrix must be Hermitian
-    and positive semidefinite, both within the ``linalg`` tolerances.  The
-    first qubit is transposed; rho^{T_B} = (rho^{T_A})^T has the same
-    spectrum, so the choice does not change the result.
+    and positive semidefinite, both within the ``linalg`` tolerances; it
+    need not be an X state.  The first qubit is transposed; rho^{T_B} =
+    (rho^{T_A})^T has the same spectrum, so the choice does not change the
+    result.  This is the general version, with a Cholesky PSD test and a
+    LAPACK eigensolve: the generic route takes its negativities from X-block
+    spectra instead, and is tested against this function.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     linalg.check_hermitian(rho)
-    n = _negativity(rho)
-    return float(n) if n.ndim == 0 else n
-
-
-def _negativity(rho):
-    """``negativity`` of a complex stack known to be Hermitian."""
     linalg._check_psd(rho)
     wt = eigvalsh_small(linalg.partial_transpose(rho))
-    return _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
+    n = _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
+    return float(n) if n.ndim == 0 else n
 
 
 def _generic_chunk(amps):
     rho = tristate.density(amps)
-    # the one Hermiticity check: every reduction and partial transpose below
-    # inherits it, so none is checked or symmetrized again
+    # the one Hermiticity check: every reduction below, and its partial
+    # transpose, inherits it, so none is checked or symmetrized again
     linalg.check_hermitian(rho)
     pairs = np.stack([linalg._partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
                      axis=-3)
@@ -206,7 +205,14 @@ def _generic_chunk(amps):
     # unlike 1 minus it does not cancel near product states
     a, d = singles[..., 0, 0].real, singles[..., 1, 1].real
     lam = (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(singles[..., 1, 0]))
-    n_ab, n_ac, n_bc = np.moveaxis(_negativity(pairs) ** 2, -1, 0)
+    # every two-qubit reduction of a W-class state is an X state (Yu and
+    # Eberly, QIC 7, 459 (2007)), so its spectrum, and that of its partial
+    # transpose, comes in closed form from two 2x2 blocks.  The transpose
+    # maps the X pattern onto itself, so it needs no check of its own.
+    off, w, wt = linalg._x_spectra(pairs)
+    linalg._check_x_psd(off, w)
+    neg = np.minimum(wt, 0.0)
+    n_ab, n_ac, n_bc = np.moveaxis(_snap(-2.0 * neg.sum(axis=-1)) ** 2, -1, 0)
     pi_a = edges[..., 0] - n_ab - n_ac
     pi_b = edges[..., 1] - n_ab - n_bc
     pi_c = edges[..., 2] - n_ac - n_bc
@@ -228,9 +234,11 @@ def generic_measures(amps):
     batches of ``GENERIC_CHUNK``.  Per batch: one stack of density matrices
     with one Hermiticity check; its three two-qubit reductions, from which
     the single-qubit reductions are summed; the largest eigenvalue of each
-    2x2 reduction in closed form; a batched Cholesky PSD test of the
-    two-qubit reductions; and one batched eigensolve of their partial
-    transposes.
+    2x2 reduction in closed form; the 2x2 blocks of the two-qubit
+    reductions and of their partial transposes, in closed form; one
+    X-structure and PSD test of the reductions from their blocks; and the
+    negativities from the blocks of the partial transposes.  No LAPACK
+    solver is called.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 3:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trinu import linalg, make_state, density
+from trinu import linalg, make_state, density, measures
 
-from conftest import random_hermitian
+from conftest import random_hermitian, w_class_states
 
 W = make_state((1 / np.sqrt(3),) * 3)
 
@@ -221,6 +223,137 @@ class TestCheckPsd:
     def test_accepts_singular_density_matrices(self):
         linalg._check_psd(linalg.partial_trace(density(W), "AB"))
         linalg._check_psd(np.zeros((4, 4)))
+
+
+def w_reductions(states):
+    """The (n, 3, 4, 4) stack of AB, AC and BC reductions of W-class states."""
+    rho = density(np.array([s.amplitudes() for s in states]))
+    return np.stack([linalg.partial_trace(rho, pair) for pair in ("AB", "AC", "BC")], axis=-3)
+
+
+def x_with_spectrum(rng, spectrum):
+    """A Hermitian X matrix whose {|00>,|11>} block has eigenvalues spectrum[:2]
+    and whose {|01>,|10>} block has spectrum[2:], each in a random basis."""
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[np.ix_([0, 3], [0, 3])] = hermitian_with_spectrum(rng, spectrum[:2])
+    m[np.ix_([1, 2], [1, 2])] = hermitian_with_spectrum(rng, spectrum[2:])
+    return m
+
+
+def check_x_psd(m):
+    linalg._check_x_psd(*linalg._x_spectra(m)[:2])
+
+
+class TestXSpectra:
+    @staticmethod
+    def assert_matches_lapack(m):
+        off, w, wt = linalg._x_spectra(m)
+        assert np.max(off) == 0.0
+        assert np.max(np.abs(np.sort(w, axis=-1) - np.linalg.eigvalsh(m))) <= 1e-15
+        for on in (0, 1):
+            pt = linalg.partial_transpose(m, on)
+            assert np.max(np.abs(np.sort(wt, axis=-1) - np.linalg.eigvalsh(pt))) <= 1e-15
+        # transposing the first qubit moves the very entries the transposed
+        # blocks read, so both ways round the spectra agree bit for bit
+        _, w_pt, wt_pt = linalg._x_spectra(linalg.partial_transpose(m))
+        assert np.array_equal(w_pt, wt) and np.array_equal(wt_pt, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(w_class_states(), min_size=1, max_size=8))
+    def test_matches_lapack_on_w_reductions(self, states):
+        self.assert_matches_lapack(w_reductions(states))
+
+    def test_matches_lapack_on_random_x_matrices(self, rng):
+        spectra = rng.uniform(-1.0, 1.0, size=(500, 4))
+        self.assert_matches_lapack(np.stack([x_with_spectrum(rng, s) for s in spectra]))
+
+    def test_zero_blocks_give_exact_zeros(self):
+        # basis-state reductions have a zero block: 0/0 would be NaN
+        _, w, wt = linalg._x_spectra(np.stack([np.zeros((4, 4)), np.diag([1.0, 0.0, 0.0, 0.0])]))
+        assert np.array_equal(w, [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        assert np.array_equal(wt, w)
+
+    # every entry off the diagonal (i = j) and the anti-diagonal (i + j = 3)
+    @pytest.mark.parametrize("i,j", [(i, j) for i in range(4) for j in range(4)
+                                     if i != j and i + j != 3])
+    @pytest.mark.parametrize("factor,passes", [(1.0, True), (2.0, False)])
+    def test_rejects_an_off_x_entry(self, i, j, factor, passes):
+        m = np.stack([linalg.partial_trace(density(W), "AB")] * 3)
+        # one entry without its mirror, so each position is seen on its own
+        m[1, i, j] = factor * linalg.HERMITICITY_TOL
+        assert linalg._x_spectra(m)[0][1] == factor * linalg.HERMITICITY_TOL
+        if passes:
+            check_x_psd(m)
+        else:
+            with pytest.raises(ValueError, match="not an X state: off-X entry 2.000e-12"):
+                check_x_psd(m)
+
+    # as in TestCheckPsd: the smallest eigenvalue a relative 1e-3 inside or
+    # outside the floor, in either block
+    @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
+    def test_psd_boundary(self, rng, factor, passes):
+        for k in range(20):
+            spectrum = rng.dirichlet(np.ones(4))
+            spectrum[k % 4] = -linalg.PSD_TOL * factor
+            m = x_with_spectrum(rng, spectrum)
+            assert np.linalg.eigvalsh(m)[0] == pytest.approx(spectrum[k % 4], rel=1e-5)
+            if passes:
+                check_x_psd(m)
+            else:
+                with pytest.raises(ValueError, match="PSD"):
+                    check_x_psd(m)
+
+    @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
+    def test_psd_boundary_inside_a_stack(self, rng, factor, passes):
+        spectra = rng.dirichlet(np.ones(4), size=(2, 3))
+        spectra[1, 2, 3] = -linalg.PSD_TOL * factor
+        stack = np.stack([x_with_spectrum(rng, s) for s in spectra.reshape(-1, 4)])
+        stack = stack.reshape(2, 3, 4, 4)
+        if passes:
+            check_x_psd(stack)
+        else:
+            with pytest.raises(ValueError, match="PSD"):
+                check_x_psd(stack)
+
+    def test_rejects_a_block_with_no_positive_eigenvalue(self):
+        m = np.diag([-0.5, 0.5, 0.5, -0.5])
+        assert np.array_equal(linalg._x_spectra(m)[1], [-0.5, -0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match=r"min eigenvalue bound -5\.000e-01"):
+            check_x_psd(m)
+
+    def test_rejects_a_block_whose_larger_eigenvalue_rounds_to_zero(self, rng):
+        # eigenvalues (-1, 0): (a + d)/2 + hypot(...) cancels to a residue of
+        # either sign, and det over it would be any number, even a positive one
+        for _ in range(200):
+            m = x_with_spectrum(rng, [-1.0, 0.0, 0.5, 0.5])
+            assert linalg._x_spectra(m)[1][0] == pytest.approx(-1.0, abs=1e-15)
+            with pytest.raises(ValueError, match="PSD"):
+                check_x_psd(m)
+
+    @pytest.mark.parametrize("margin,passes", [(2.5, True), (1.5, False)])
+    def test_psd_margin_subtracts_twice_the_off_x_entry(self, margin, passes):
+        # block eigenvalue -PSD_TOL + margin * off, off-X entries off: the
+        # bound subtracts 2 off, so it fails for a margin below 2
+        off = linalg.HERMITICITY_TOL
+        m = np.diag([-linalg.PSD_TOL + margin * off, 0.5, 0.5, 0.0]).astype(np.complex128)
+        m[0, 1] = m[1, 0] = off
+        if passes:
+            check_x_psd(m)
+        else:
+            with pytest.raises(ValueError, match="PSD"):
+                check_x_psd(m)
+
+
+def test_generic_route_calls_no_lapack_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generic route called a LAPACK solver")
+
+    amps = np.array([[1.0, 0.0, 0.0], [0.6, 0.8j, 0.0], [1 / np.sqrt(3)] * 3])
+    expected = measures.generic_measures(amps)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for got, want in zip(measures.generic_measures(amps), expected):
+        assert np.array_equal(got, want)
 
 
 def test_check_hermitian_rejects_nan():

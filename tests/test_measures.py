@@ -292,8 +292,9 @@ def reference_row(amps):
     Every reduction is an ``einsum`` trace of the 8x8 density matrix.  The
     spectra come from ``hermitian_eigenvalues`` and from direct
     ``np.linalg.eigvalsh`` calls, not from ``negativity``, so the route's
-    PSD test and partial-transpose eigensolve are checked against code they
-    do not share.
+    closed-form X-block spectra, of the reductions for its PSD test and of
+    their partial transposes for its negativities, are checked against
+    LAPACK eigensolves they do not share.
     """
     rho = density(amps)
     singles = [linalg.partial_trace(rho, q) for q in "ABC"]
