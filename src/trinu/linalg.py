@@ -46,29 +46,28 @@ def hermitian_eigenvalues(m):
     return eigvalsh_small(0.5 * (m + np.swapaxes(m, -1, -2).conj()))
 
 
-def _check_psd(m):
-    """Raise ``ValueError`` unless every eigenvalue of ``m`` exceeds ``-PSD_TOL``.
-
-    ``m`` is an (..., n, n) stack already checked to be Hermitian (and
-    so finite) with ``check_hermitian``; only its lower triangle is read.  The
-    test is one batched Cholesky factorization of ``m + PSD_TOL * I``, which
-    exists exactly when the smallest eigenvalue of ``m`` is above
-    ``-PSD_TOL``.  The eigenvalues are computed only to report a failure.
-    This is the general test, for any Hermitian matrix, that
-    ``measures.negativity`` uses; the generic route tests its X-state
-    reductions with ``_check_x_psd`` instead.
-    """
-    try:
-        np.linalg.cholesky(m + PSD_TOL * np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError:
-        w = eigvalsh_small(m)[..., 0].min()
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {w:.3e} is below {-PSD_TOL:.1e}"
-        ) from None
-
-
 #: Entries of a 4x4 matrix outside the X pattern (diagonal and anti-diagonal).
 _OFF_X = (np.array([0, 0, 1, 1, 2, 2, 3, 3]), np.array([1, 2, 0, 3, 0, 3, 1, 2]))
+
+
+def _eig2(a, d, b):
+    """Determinant and eigenvalues of 2x2 Hermitian blocks [[a, b*], [b, d]].
+
+    ``a`` and ``d`` are real, ``b`` complex, all of one shape; returns
+    (det, smaller, larger) of that shape.  The larger eigenvalue is
+    (a + d)/2 + hypot((a - d)/2, |b|).  Where a + d > 0 the smaller is det
+    over the larger, which does not cancel when it is near 0.  Elsewhere the
+    sum for the larger can cancel to a rounding residue of either sign,
+    which makes that quotient meaningless, while the difference (a + d)/2 -
+    hypot(...) for the smaller does not cancel.
+    """
+    mean = (a + d) / 2.0
+    radius = np.hypot((a - d) / 2.0, np.abs(b))
+    hi = mean + radius
+    det = a * d - (b.real ** 2 + b.imag ** 2)
+    positive = mean > 0.0
+    lo = np.where(positive, det / np.where(positive, hi, 1.0), mean - radius)
+    return det, lo, hi
 
 
 def _x_spectra(m):
@@ -80,23 +79,12 @@ def _x_spectra(m):
     the same for the partial transpose of ``m``.  A partial transpose, on
     either qubit, maps the X pattern onto itself: it keeps the diagonal and
     trades the blocks' off-diagonal entries, so its blocks take |m[1, 2]|
-    and |m[0, 3]| where those of ``m`` take |m[3, 0]| and |m[2, 1]|.
-
-    Each block [[a, b*], [b, d]] has eigenvalues (a + d)/2 -+ hypot((a - d)/2,
-    |b|).  Where a + d > 0 the smaller is det over the larger, which does not
-    cancel when it is near 0.  Elsewhere the sum for the larger can cancel to
-    a rounding residue of either sign, which makes that quotient
-    meaningless, while the difference for the smaller does not cancel.
+    and |m[0, 3]| where those of ``m`` take |m[3, 0]| and |m[2, 1]|.  Each
+    block's eigenvalues come from ``_eig2``.
     """
     diag = np.diagonal(m, axis1=-2, axis2=-1).real
     a, d = diag[..., [0, 1, 0, 1]], diag[..., [3, 2, 3, 2]]
-    b = m[..., [3, 2, 1, 0], [0, 1, 2, 3]]
-    mean = (a + d) / 2.0
-    radius = np.hypot((a - d) / 2.0, np.abs(b))
-    hi = mean + radius
-    det = a * d - (b.real ** 2 + b.imag ** 2)
-    positive = mean > 0.0
-    lo = np.where(positive, det / np.where(positive, hi, 1.0), mean - radius)
+    _, lo, hi = _eig2(a, d, m[..., [3, 2, 1, 0], [0, 1, 2, 3]])
     off = np.abs(m[..., _OFF_X[0], _OFF_X[1]]).max(axis=-1)
     w = np.stack([lo, hi], axis=-1).reshape(m.shape[:-2] + (2, 4))
     return off, w[..., 0, :], w[..., 1, :]
@@ -110,7 +98,8 @@ def _check_x_psd(off, w):
     its spectral norm is at most twice its largest entry, and (Weyl) every
     eigenvalue of the matrix is within that of an X-block eigenvalue.  So
     the smallest block eigenvalue minus twice the largest off-X entry must
-    exceed ``-PSD_TOL``: a test never weaker than ``_check_psd``.
+    exceed ``-PSD_TOL``: a test never weaker than requiring every exact
+    eigenvalue to exceed it.
     """
     worst = float(off.max())
     if not worst <= HERMITICITY_TOL:  # NaN fails too

@@ -23,7 +23,6 @@ import functools
 import numpy as np
 
 from . import linalg, tristate
-from ._backend import eigvalsh_small
 from .oscillation import amplitude_array, checked_probabilities
 
 #: Probabilities below this are treated as exact zeros in the closed forms.
@@ -167,23 +166,26 @@ def negativity(rho):
     and positive semidefinite, both within the ``linalg`` tolerances; it
     need not be an X state.  The first qubit is transposed; rho^{T_B} =
     (rho^{T_A})^T has the same spectrum, so the choice does not change the
-    result.  This is the general version, with a Cholesky PSD test and a
-    LAPACK eigensolve: the generic route takes its negativities from X-block
-    spectra instead, and is tested against this function.
+    result.  This is the general version, with the spectra of ``rho`` and
+    of its partial transpose from ``linalg.hermitian_eigenvalues``: the
+    generic route takes its negativities from X-block spectra instead, and
+    is tested against this function.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    linalg.check_hermitian(rho)
-    linalg._check_psd(rho)
-    wt = eigvalsh_small(linalg.partial_transpose(rho))
+    low = float(linalg.hermitian_eigenvalues(rho)[..., 0].min())
+    if not low > -linalg.PSD_TOL:
+        raise ValueError(
+            f"matrix is not PSD: min eigenvalue {low:.3e} is below {-linalg.PSD_TOL:.1e}"
+        )
+    wt = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
     n = _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
     return float(n) if n.ndim == 0 else n
 
 
 def _generic_chunk(amps):
+    # density has checked the amplitudes, and v v^dagger of them is Hermitian
+    # to rounding, so the route makes no Hermiticity check
     rho = tristate.density(amps)
-    # the one Hermiticity check: every reduction below, and its partial
-    # transpose, inherits it, so none is checked or symmetrized again
-    linalg.check_hermitian(rho)
     pairs = np.stack([linalg._partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
                      axis=-3)
     # rho_A and rho_B are partial traces of rho_AB, rho_C one of rho_AC
@@ -195,16 +197,12 @@ def _generic_chunk(amps):
     ], axis=-3)
     # the edge 2[1 - Tr(rho_X^2)] as 4 det(rho_X): the same quantity for a
     # unit-trace 2x2 matrix, but free of the cancellation that 1 - Tr(rho^2)
-    # suffers near product states
-    det = (singles[..., 0, 0] * singles[..., 1, 1]
-           - singles[..., 0, 1] * singles[..., 1, 0]).real
+    # suffers near product states; the smallest eigenvalue, the ggm
+    # candidate, is likewise det over the largest, not 1 minus it
+    det, lo, _ = linalg._eig2(singles[..., 0, 0].real, singles[..., 1, 1].real,
+                              singles[..., 1, 0])
     edges = _snap(4.0 * det)
     check_triangles(edges)
-    # largest eigenvalue of each 2x2 Hermitian [[a, b*], [b, d]]:
-    # (a + d)/2 + hypot((a - d)/2, |b|); the smallest is det over it, which
-    # unlike 1 minus it does not cancel near product states
-    a, d = singles[..., 0, 0].real, singles[..., 1, 1].real
-    lam = (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(singles[..., 1, 0]))
     # every two-qubit reduction of a W-class state is an X state (Yu and
     # Eberly, QIC 7, 459 (2007)), so its spectrum, and that of its partial
     # transpose, comes in closed form from two 2x2 blocks.  The transpose
@@ -217,7 +215,7 @@ def _generic_chunk(amps):
     pi_b = edges[..., 1] - n_ab - n_bc
     pi_c = edges[..., 2] - n_ac - n_bc
     values = np.stack([
-        _snap((det / lam).min(axis=-1)),
+        _snap(lo.min(axis=-1)),
         _snap((pi_a + pi_b + pi_c) / 3.0),
         _snap(edges.min(axis=-1)),
         heron_fill(edges),
@@ -231,14 +229,13 @@ def generic_measures(amps):
     ``amps`` holds W-class amplitudes (a_e, a_mu, a_tau) on the rows of an
     (n, 3) array.  Returns (ggm, three_pi, gmc, fill) as an (n, 4) array and
     the triangle edges as an (n, 3) array.  The states are processed in
-    batches of ``GENERIC_CHUNK``.  Per batch: one stack of density matrices
-    with one Hermiticity check; its three two-qubit reductions, from which
-    the single-qubit reductions are summed; the largest eigenvalue of each
-    2x2 reduction in closed form; the 2x2 blocks of the two-qubit
-    reductions and of their partial transposes, in closed form; one
-    X-structure and PSD test of the reductions from their blocks; and the
-    negativities from the blocks of the partial transposes.  No LAPACK
-    solver is called.
+    batches of ``GENERIC_CHUNK``.  Per batch: one stack of density matrices;
+    its three two-qubit reductions, from which the single-qubit reductions
+    are summed; the spectra of the 2x2 single-qubit reductions, and of the
+    2x2 blocks of the two-qubit reductions and of their partial transposes,
+    all by the one closed form ``linalg._eig2``; one X-structure and PSD
+    test of the reductions from their blocks; and the negativities from the
+    blocks of the partial transposes.  No LAPACK solver is called.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 3:

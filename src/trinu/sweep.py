@@ -68,6 +68,10 @@ class SweepConfig:
             raise ConfigError("le_min", "sweep bounds must be finite")
         if not self.le_min < self.le_max:
             raise ConfigError("le_min", f"le_min ({self.le_min}) must be < le_max ({self.le_max})")
+        if self.le_min < 0:
+            raise ConfigError("le_min", f"L/E must be non-negative, got {self.le_min}")
+        if not math.isfinite(self.le_max * self.unit_factor()):
+            raise ConfigError("le_max", f"{self.le_max} {self.unit} overflows in km/GeV")
         if self.scale == "log" and self.le_min <= 0:
             raise ConfigError("le_min", "log scale requires le_min > 0")
         if not _is_number(self.points, numbers.Integral):

@@ -189,8 +189,10 @@ def hermitian_with_spectrum(rng, spectrum):
 
 
 class TestCheckPsd:
+    """``negativity``'s PSD verdict, which it takes from ``hermitian_eigenvalues``."""
+
     # smallest eigenvalue a relative 1e-3 inside or outside the floor: far
-    # beyond the ~1e-15 rounding of building and factoring a unit-norm matrix
+    # beyond the ~1e-15 rounding of building and solving a unit-norm matrix
     @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
     def test_boundary(self, rng, factor, passes):
         for _ in range(20):
@@ -198,10 +200,10 @@ class TestCheckPsd:
             m = hermitian_with_spectrum(rng, [lam_min, *rng.dirichlet(np.ones(3))])
             assert np.linalg.eigvalsh(m)[0] == pytest.approx(lam_min, rel=1e-5)
             if passes:
-                linalg._check_psd(m)
+                measures.negativity(m)
             else:
                 with pytest.raises(ValueError, match="PSD"):
-                    linalg._check_psd(m)
+                    measures.negativity(m)
 
     @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
     def test_boundary_inside_a_stack(self, rng, factor, passes):
@@ -210,19 +212,20 @@ class TestCheckPsd:
         stack = np.stack([hermitian_with_spectrum(rng, s) for s in spectra.reshape(-1, 4)])
         stack = stack.reshape(2, 3, 4, 4)
         if passes:
-            linalg._check_psd(stack)
+            measures.negativity(stack)
         else:
             with pytest.raises(ValueError, match="PSD"):
-                linalg._check_psd(stack)
+                measures.negativity(stack)
 
     def test_reports_the_smallest_eigenvalue(self):
-        stack = np.stack([np.diag([1.0, 0.0]), np.diag([1.5, -0.5]), np.diag([1.2, -0.2])])
-        with pytest.raises(ValueError, match=r"min eigenvalue -5\.000e-01"):
-            linalg._check_psd(stack)
+        stack = np.stack([np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0]),
+                          np.diag([1.2, -0.2, 0.0, 0.0])])
+        with pytest.raises(ValueError, match=r"not PSD: min eigenvalue -5\.000e-01"):
+            measures.negativity(stack)
 
     def test_accepts_singular_density_matrices(self):
-        linalg._check_psd(linalg.partial_trace(density(W), "AB"))
-        linalg._check_psd(np.zeros((4, 4)))
+        measures.negativity(linalg.partial_trace(density(W), "AB"))
+        measures.negativity(np.zeros((4, 4)))
 
 
 def w_reductions(states):
@@ -237,6 +240,15 @@ def x_with_spectrum(rng, spectrum):
     m = np.zeros((4, 4), dtype=np.complex128)
     m[np.ix_([0, 3], [0, 3])] = hermitian_with_spectrum(rng, spectrum[:2])
     m[np.ix_([1, 2], [1, 2])] = hermitian_with_spectrum(rng, spectrum[2:])
+    return m
+
+
+def x_from_blocks(a, b):
+    """The X matrix with diagonal ``a`` and the entries ``b`` at [3, 0] and
+    [2, 1], mirrored to [0, 3] and [1, 2]."""
+    m = np.diag(a).astype(np.complex128)
+    m[[3, 2], [0, 1]] = b
+    m[[0, 1], [3, 2]] = np.conj(b)
     return m
 
 
@@ -265,7 +277,15 @@ class TestXSpectra:
 
     def test_matches_lapack_on_random_x_matrices(self, rng):
         spectra = rng.uniform(-1.0, 1.0, size=(500, 4))
-        self.assert_matches_lapack(np.stack([x_with_spectrum(rng, s) for s in spectra]))
+        b = 0.5 * rng.uniform(size=(500, 2)) * np.exp(2j * np.pi * rng.uniform(size=(500, 2)))
+        # blocks in random bases; diagonal blocks (b = 0); and blocks with
+        # a + d = 0 exactly, where the smaller eigenvalue is not det over the
+        # larger, with and without b.  Every eigenvalue lies in (-1, 1).
+        stack = ([x_with_spectrum(rng, s) for s in spectra]
+                 + [x_from_blocks(s, 0.0) for s in spectra]
+                 + [x_from_blocks([x, y, -y, -x], c) for (x, y), c in zip(0.5 * spectra[:, :2], b)]
+                 + [x_from_blocks(np.zeros(4), c) for c in b])
+        self.assert_matches_lapack(np.stack(stack))
 
     def test_zero_blocks_give_exact_zeros(self):
         # basis-state reductions have a zero block: 0/0 would be NaN

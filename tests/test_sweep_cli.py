@@ -102,6 +102,10 @@ class TestConfig:
         (dict(le_min="a"), "le_min"),
         (dict(le_max=None), "le_max"),
         (dict(params_file=5), "params_file"),
+        (dict(le_min=-5.0), "le_min"),
+        (dict(le_min=-5.0, le_max=-1.0), "le_min"),
+        (dict(le_max=1e306), "le_max"),
+        (dict(le_min=1e306, le_max=1e307), "le_max"),
     ])
     def test_field_specific_errors(self, kw, field):
         with pytest.raises(ConfigError) as err:
