@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,15 +257,35 @@ def check_x_psd(m):
     linalg._check_x_psd(*linalg._x_spectra(m)[:2])
 
 
+def x_spectra_mpmath(m):
+    """Ascending eigenvalues of each X matrix in the (n, 4, 4) stack ``m``: those
+    of its {|00>,|11>} and {|01>,|10>} blocks, from 50-digit mpmath on the
+    stored entries, rounded to the nearest double."""
+    spectra = []
+    with mpmath.workdps(50):
+        for x in m:
+            w = []
+            for i, j in ((0, 3), (1, 2)):
+                a, d = mpmath.mpf(x[i, i].real), mpmath.mpf(x[j, j].real)
+                b = mpmath.mpc(x[j, i].real, x[j, i].imag)
+                mid = (a + d) / 2
+                radius = mpmath.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
+                w += [float(mid - radius), float(mid + radius)]
+            spectra.append(sorted(w))
+    return np.array(spectra)
+
+
 class TestXSpectra:
     @staticmethod
-    def assert_matches_lapack(m):
+    def assert_matches(m, eigenvalues=np.linalg.eigvalsh):
+        """``_x_spectra`` of ``m`` and of both partial transposes within 1e-15
+        of the ``eigenvalues`` reference."""
         off, w, wt = linalg._x_spectra(m)
         assert np.max(off) == 0.0
-        assert np.max(np.abs(np.sort(w, axis=-1) - np.linalg.eigvalsh(m))) <= 1e-15
+        assert np.max(np.abs(np.sort(w, axis=-1) - eigenvalues(m))) <= 1e-15
         for on in (0, 1):
             pt = linalg.partial_transpose(m, on)
-            assert np.max(np.abs(np.sort(wt, axis=-1) - np.linalg.eigvalsh(pt))) <= 1e-15
+            assert np.max(np.abs(np.sort(wt, axis=-1) - eigenvalues(pt))) <= 1e-15
         # transposing the first qubit moves the very entries the transposed
         # blocks read, so both ways round the spectra agree bit for bit
         _, w_pt, wt_pt = linalg._x_spectra(linalg.partial_transpose(m))
@@ -273,9 +294,9 @@ class TestXSpectra:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(w_class_states(), min_size=1, max_size=8))
     def test_matches_lapack_on_w_reductions(self, states):
-        self.assert_matches_lapack(w_reductions(states))
+        self.assert_matches(w_reductions(states))
 
-    def test_matches_lapack_on_random_x_matrices(self, rng):
+    def test_matches_mpmath_on_random_x_matrices(self, rng):
         spectra = rng.uniform(-1.0, 1.0, size=(500, 4))
         b = 0.5 * rng.uniform(size=(500, 2)) * np.exp(2j * np.pi * rng.uniform(size=(500, 2)))
         # blocks in random bases; diagonal blocks (b = 0); and blocks with
@@ -285,7 +306,9 @@ class TestXSpectra:
                  + [x_from_blocks(s, 0.0) for s in spectra]
                  + [x_from_blocks([x, y, -y, -x], c) for (x, y), c in zip(0.5 * spectra[:, :2], b)]
                  + [x_from_blocks(np.zeros(4), c) for c in b])
-        self.assert_matches_lapack(np.stack(stack))
+        # LAPACK's own error reaches 2e-15 on some draws, so the reference is
+        # exact: with it the bound holds for every seed of ``rng``
+        self.assert_matches(np.stack(stack), x_spectra_mpmath)
 
     def test_zero_blocks_give_exact_zeros(self):
         # basis-state reductions have a zero block: 0/0 would be NaN

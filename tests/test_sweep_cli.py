@@ -1,12 +1,16 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trinu import (
     OscillationParams,
@@ -76,6 +80,12 @@ def reference_text(header, table):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(text, expected):
+    """``text == expected``, compared by lines: a failure names the first wrong
+    line at once, where pytest's diff of two long texts takes minutes."""
+    assert text.split("\n") == expected.split("\n")
+
+
 #: Values at the edges of the 12-digit rule: signed zero, scientific
 #: notation, extreme magnitudes, and exactly 12 and 13 significant digits.
 EDGE_VALUES = (
@@ -84,6 +94,50 @@ EDGE_VALUES = (
     123456789012.0, 1234567890123.0, 0.123456789012, 0.1234567890125,
     -0.1234567890123, 999999999999.5, 1e12, 1e16,
 )
+
+
+#: Values a double's own draw rarely reaches: signed zeros, infinities, NaN,
+#: subnormals and the largest magnitudes.
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+                  2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
+
+
+def nearest(values, steps):
+    """``values`` and their ``steps`` nearest doubles on each side."""
+    out = [values]
+    for direction in (math.inf, -math.inf):
+        v = values
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+def rounding_edge_table():
+    """Values where a 12-digit mantissa is hardest to get right, both signs,
+    as an 11-column table."""
+    rng = np.random.default_rng(24)
+    mantissa = rng.integers(10 ** 11, 10 ** 12, size=200).astype(float)
+    k = np.arange(-16, 11)
+    powers = np.array([float(f"1e{j}") for j in range(-20, 25)])
+    values = np.concatenate([
+        # half-way between two 12-digit decimals, and the doubles next to them
+        nearest(((mantissa[:, None] + 0.5) * 10.0 ** (k - 11)).ravel(), 1),
+        # powers of ten, and 3 ulps either side
+        nearest(powers, 3),
+        # just below a power of ten, where the mantissa rounds up to 10^12
+        (powers[:, None] * (1 - 5e-13 + np.array([-1e-14, 0.0, 1e-14]))).ravel(),
+        ((1e12 - 0.5 + np.array([-1e-3, 0.0, 1e-3]))[:, None] * powers).ravel(),
+        # exponents -12 and 34, just outside the exact-power range, and -11
+        # and 33, just inside
+        nearest(np.array([1e-12, 5.5e-12, 9.99999999999e-12, 1e-11, 1e33, 9.99999999999e33,
+                          1e34, 5.5e34, 9.99999999999e34]), 2),
+        # three-digit exponents
+        nearest(np.array([1e100, 2.5e-100, 1e-300, 1e300, 2.2250738585072014e-308]), 2),
+        [1.7976931348623157e308],
+    ])
+    values = np.concatenate([values, -values])
+    return np.resize(values, (-(-len(values) // len(CSV_COLUMNS)), len(CSV_COLUMNS)))
 
 
 class TestConfig:
@@ -155,14 +209,14 @@ class TestWriters:
         table = measures.table(params, cfg.initial, cfg.grid())
         csv_text = reference_text(CSV_COLUMNS, table)
         slopes_text = reference_text(SLOPE_COLUMNS, slope_table(table))
-        assert written(write_csv, table) == csv_text
-        assert written(write_slopes, table) == slopes_text
+        assert_same_text(written(write_csv, table), csv_text)
+        assert_same_text(written(write_slopes, table), slopes_text)
         # and as a sweep streams them, in chunks of ``chunk`` rows
         monkeypatch.setattr(sweep, "SWEEP_CHUNK", chunk)
         csv, slopes = io.StringIO(), io.StringIO()
         run_sweep(cfg, sink=sweep.csv_sink(csv, slopes))
-        assert csv.getvalue() == csv_text
-        assert slopes.getvalue() == slopes_text
+        assert_same_text(csv.getvalue(), csv_text)
+        assert_same_text(slopes.getvalue(), slopes_text)
 
     @pytest.mark.parametrize("chunk", [1, 3, 10 ** 6])
     def test_edge_values_match_reference(self, chunk):
@@ -176,6 +230,46 @@ class TestWriters:
         for start in range(0, len(table), chunk):
             write_csv(table[start:start + chunk], buf, header=start == 0)
         assert buf.getvalue() == text
+
+    @pytest.mark.parametrize("chunk", [1, 3, 2 * sweep._BLOCK_ROWS + 1])
+    def test_rounding_edges_match_reference(self, chunk):
+        table = rounding_edge_table()
+        assert len(table) > 2 * sweep._BLOCK_ROWS + 1
+        buf = io.StringIO()
+        for start in range(0, len(table), chunk):
+            write_csv(table[start:start + chunk], buf, header=start == 0)
+        assert_same_text(buf.getvalue(), reference_text(CSV_COLUMNS, table))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES)),
+                    min_size=len(CSV_COLUMNS), max_size=8 * len(CSV_COLUMNS)))
+    def test_arbitrary_doubles_match_reference(self, values):
+        table = np.array(values[:len(values) // len(CSV_COLUMNS) * len(CSV_COLUMNS)])
+        table = table.reshape(-1, len(CSV_COLUMNS))
+        assert written(write_csv, table) == reference_text(CSV_COLUMNS, table)
+
+    def test_memory_peak_below_the_one_template_format(self, params):
+        cfg = load_preset("electron")
+        table = measures.table(params, cfg.initial, cfg.grid()[:sweep.SWEEP_CHUNK])
+
+        def template(table, stream):
+            # the writers' former rule: one ``%`` over a repeated line template
+            line = ",".join([sweep.NUMBER_FORMAT] * table.shape[1]) + "\n"
+            stream.write((line * len(table)) % tuple((table + 0.0).ravel().tolist()))
+
+        def traced_peak(writer):
+            stream = io.StringIO()
+            tracemalloc.start()
+            try:
+                writer(table, stream)
+                return tracemalloc.get_traced_memory()[1], stream.getvalue()
+            finally:
+                tracemalloc.stop()
+
+        peak, text = traced_peak(lambda t, stream: write_csv(t, stream, header=False))
+        template_peak, template_text = traced_peak(template)
+        assert_same_text(text, template_text)
+        assert peak <= template_peak
 
     def test_stdout_equals_file_output(self, tmp_path, capsys):
         argv = ["sweep", "--points", "201"]
