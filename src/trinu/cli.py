@@ -8,6 +8,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -27,15 +28,21 @@ def load_preset(name):
 
 
 def _add_sweep_flags(parser, with_grid=True):
+    """The flags that set ``SweepConfig`` fields of the same name.
+
+    A query over a grid (``sweep``, ``extremum``) also takes the grid and the
+    route.  A single-point report (``triangle``) always uses the closed form,
+    so it takes neither.
+    """
     parser.add_argument("--initial", choices=sweep.INITIALS, default=None,
                         help="initial flavor (default: e)")
     parser.add_argument("--unit", choices=sweep.UNITS, default=None,
                         help="unit of the L/E values (default: km/MeV)")
-    parser.add_argument("--path", choices=sweep.PATHS, default=None,
-                        help="evaluation route (default: closed-form)")
     parser.add_argument("--params", metavar="FILE", default=None, dest="params_file",
                         help="JSON file overriding the physics parameters")
     if with_grid:
+        parser.add_argument("--path", choices=sweep.PATHS, default=None,
+                            help="evaluation route (default: closed-form)")
         parser.add_argument("--le-min", type=float, default=None)
         parser.add_argument("--le-max", type=float, default=None)
         parser.add_argument("--points", type=int, default=None)
@@ -151,6 +158,8 @@ def _cmd_triangle(args):
     config = _config_from_args(args)
     params = config.load_params()
     le = args.le * config.unit_factor()
+    if math.isfinite(args.le) and not math.isfinite(le):
+        raise ConfigError("le", f"{args.le} {config.unit} overflows in km/GeV")
     record = sweep.triangle_record(params, config.initial, le)
     with _open_output(config.output) as fh:
         if args.as_json:

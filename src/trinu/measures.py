@@ -7,7 +7,8 @@ Every measure is available along two independent routes:
   transposes, batched over stacks of states.  Those reductions are X
   states, so all these spectra come in closed form from 2x2 blocks, and
 * a *closed-form* route expressed directly in the three oscillation
-  probabilities.
+  probabilities.  It works on them as component rows (p_e, p_mu, p_tau),
+  so that each quantity it forms is one contiguous row of a block.
 
 The two must agree to 1e-10, which is the main cross-check of the library.
 
@@ -23,7 +24,7 @@ import functools
 import numpy as np
 
 from . import linalg, tristate
-from .oscillation import amplitude_array, checked_probabilities
+from .oscillation import _clip_probability_rows, amplitude_array
 
 #: Probabilities below this are treated as exact zeros in the closed forms.
 PROB_SNAP = 1e-15
@@ -42,8 +43,10 @@ CSV_COLUMNS = (
 
 
 def _snap(x):
-    x = np.where(np.abs(x) < VALUE_SNAP, 0.0, x)
-    return np.maximum(x, 0.0)
+    """Set the entries of the array ``x`` within ``VALUE_SNAP`` of zero, and
+    the negative ones, to +0.0, in place; returns ``x``."""
+    np.copyto(x, 0.0, where=np.abs(x) < VALUE_SNAP)
+    return np.maximum(x, 0.0, out=x)
 
 
 def check_triangles(edges):
@@ -52,13 +55,25 @@ def check_triangles(edges):
     Each edge must lie in [0, 1] and none may exceed the sum of the other
     two, both within 1e-10.
     """
-    edges = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
-    bad = ~((edges >= -1e-10) & (edges <= 1.0 + 1e-10))
-    if np.any(bad):
+    _check_triangle_rows(np.asarray(edges, dtype=np.float64).reshape(-1, 3).T)
+
+
+def _check_triangle_rows(rows):
+    """``check_triangles`` on edges held as component rows, shape (3, n).
+
+    Each predicate is tested by whole-array reductions, and the offending
+    edge is looked for only when one fails, in the order of the (n, 3)
+    layout.  ``min`` and ``max`` return NaN if any edge is NaN, and NaN
+    fails both comparisons.
+    """
+    edges = rows.T
+    if rows.size and not (rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-10):
+        bad = ~((edges >= -1e-10) & (edges <= 1.0 + 1e-10))
         raise ValueError(f"triangle edge {float(edges[bad][0])!r} outside [0, 1]")
-    total = edges.sum(axis=-1, keepdims=True)
-    bad = edges > total - edges + 1e-10
-    if np.any(bad):
+    # each edge against (a + b + c) - edge, the sum of the other two
+    slack = rows[0] + rows[1] + rows[2] - rows + 1e-10
+    if np.greater(rows, slack).any():
+        bad = edges > slack.T
         row = int(np.nonzero(bad.any(axis=-1))[0][0])
         raise ValueError(
             f"edge {float(edges[bad][0])!r} violates the triangle inequality against "
@@ -68,7 +83,8 @@ def check_triangles(edges):
 
 # ---------------------------------------------------------------------------
 # closed-form route: everything as a function of the probability triple.
-# All functions broadcast over a trailing axis of length 3.
+# ``_closed_form`` works on component rows (3, ...); the public functions
+# broadcast over a trailing axis of length 3.
 # ---------------------------------------------------------------------------
 
 def _one_row_as_stack(fn):
@@ -88,41 +104,77 @@ def _one_row_as_stack(fn):
     return wrapper
 
 
-@_one_row_as_stack
 def _closed_form(p):
-    """(ggm, three_pi, gmc, fill) as (..., 4) and the triangle edges as (..., 3).
+    """(ggm, three_pi, gmc, fill) as (4, ...) rows and the triangle edges as (3, ...) rows.
+
+    ``p`` holds the probabilities as component rows (p_e, p_mu, p_tau),
+    shape (3, ...) with at least one axis after the first.  Every quantity
+    is one contiguous row of a block, computed once with ``out=`` ufuncs;
+    the two results are views of one (7, ...) block.
 
     Probabilities below ``PROB_SNAP`` count as zero.  A triangle whose
     shortest edge snaps to zero is degenerate and fills nothing, so the fill
     is forced to 0 there; this keeps the closed form consistent with the
     Heron evaluation on snapped edges.
     """
-    p = np.where(p < PROB_SNAP, 0.0, p)
-    pe, pm, pt = p[..., 0], p[..., 1], p[..., 2]
+    # the snapped probabilities, then p_e and p_mu again, so that rows 1-3
+    # and 2-4 hold (P_y, P_z) for each P_x in turn
+    q = np.empty((5,) + p.shape[1:])
+    snapped = q[:3]
+    np.copyto(snapped, p)
+    np.copyto(snapped, 0.0, where=p < PROB_SNAP)
+    q[3:] = q[:2]
+    pe, pm, pt = snapped
     # P_y + P_z for each P_x, in place of 1 - P_x, which cancels as P_x nears 1
-    rest = np.stack([pm + pt, pe + pt, pe + pm], axis=-1)
+    rest = q[1:4] + q[2:5]
+    pairs = q[1:4] * q[2:5]
+    block = np.empty((7,) + p.shape[1:])
+    values, edges = block[:4], block[4:]
+    ggm, three_pi, gmc, fill = values
     # edges 4 P_x (P_y + P_z)
-    edges = _snap(4.0 * p * rest)
+    np.multiply(4.0, snapped, out=edges)
+    edges *= rest
+    _snap(edges)
+    # the shortest edge (squared convention)
+    np.min(edges, axis=0, out=gmc)
+    # the concurrence fill via the explicit W-class product formula,
+    # 8 [(P_e P_mu P_tau)^2 (P_mu P_tau + P_e (P_mu + P_tau)) / 3]^(1/4): its
+    # factors are taken here, while rest and pairs hold their inputs; both
+    # buffers are overwritten below
+    product = pairs[2] * pt
+    inner = pe * rest[0]
+    inner += pairs[0]
     # 1 minus the largest single-qubit eigenvalue max(P_x, P_y + P_z): the smallest
-    ggm = _snap(np.minimum(p, rest).min(axis=-1))
+    np.min(np.minimum(snapped, rest, out=rest), axis=0, out=ggm)
     # average residual negativity-squared of the three one-qubit focuses,
     # 4/3 sum_x P_x (sqrt(P_x^2 + 4 P_y P_z) - P_x), with each difference as
     # 4 P_y P_z / (P_x + sqrt(...)), which does not cancel near product
     # states; a denominator is 0 only at basis states, where the product is
-    product = pe * pm * pt
-    den = p + np.sqrt(p ** 2 + 4.0 * np.stack([pm * pt, pe * pt, pe * pm], axis=-1))
-    three_pi = _snap(16.0 / 3.0 * product * (1.0 / np.where(den > 0.0, den, 1.0)).sum(axis=-1))
-    # the shortest edge (squared convention)
-    gmc = _snap(edges.min(axis=-1))
-    # the concurrence fill via the explicit W-class product formula
-    inner = product ** 2 * (pm * pt + pe * (pm + pt)) / 3.0
-    fill = np.where(gmc > 0.0, _snap(8.0 * np.maximum(inner, 0.0) ** 0.25), 0.0)
-    return np.stack([ggm, three_pi, gmc, fill], axis=-1), edges
+    den = np.multiply(4.0, pairs, out=pairs)
+    den += np.square(snapped, out=rest)
+    np.sqrt(den, out=den)
+    den += snapped
+    np.copyto(den, 1.0, where=~(den > 0.0))
+    np.divide(1.0, den, out=den)
+    np.multiply(16.0 / 3.0, product, out=three_pi)
+    den[0] += den[1]
+    den[0] += den[2]
+    three_pi *= den[0]
+    # the fill, from the factors taken above
+    inner *= np.square(product, out=product)
+    inner /= 3.0
+    np.maximum(inner, 0.0, out=inner)
+    np.power(inner, 0.25, out=fill)
+    fill *= 8.0
+    np.copyto(fill, 0.0, where=~(gmc > 0.0))
+    _snap(values)
+    return values, edges
 
 
+@_one_row_as_stack
 def measures_from_probs(p):
     """(ggm, three_pi, gmc, fill) stacked on the last axis, shape (..., 4)."""
-    return _closed_form(p)[0]
+    return np.moveaxis(_closed_form(np.moveaxis(p, -1, 0))[0], 0, -1)
 
 
 @_one_row_as_stack
@@ -178,7 +230,7 @@ def negativity(rho):
             f"matrix is not PSD: min eigenvalue {low:.3e} is below {-linalg.PSD_TOL:.1e}"
         )
     wt = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
-    n = _snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
+    n = _snap(np.asarray(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1)))
     return float(n) if n.ndim == 0 else n
 
 
@@ -240,6 +292,8 @@ def generic_measures(amps):
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 3:
         raise ValueError(f"expected amplitudes of shape (n, 3), got {amps.shape}")
+    if not len(amps):
+        return np.empty((0, 4)), np.empty((0, 3))
     parts = [_generic_chunk(amps[i:i + GENERIC_CHUNK])
              for i in range(0, len(amps), GENERIC_CHUNK)]
     return (np.concatenate([v for v, _ in parts]),
@@ -280,22 +334,33 @@ PATHS = ("closed-form", "generic")
 def table(params, initial, le, path="closed-form"):
     """Probabilities, the four measures and the triangle edges over an L/E array.
 
-    ``le`` is a 1-D array of L/E values (km/GeV).  Returns an (n, 11) array
-    whose columns are ``CSV_COLUMNS``.  Both routes take the probabilities
-    |a|^2 of one amplitude evaluation; the closed form works from them, the
-    generic route from the amplitudes.  The probabilities and the triangles
-    are validated on either route.
+    ``le`` is a 1-D array of L/E values (km/GeV).  Returns a C-contiguous
+    (n, 11) array whose columns are ``CSV_COLUMNS``.  Both routes take the
+    probabilities |a|^2 of one amplitude evaluation; the closed form works
+    from them, the generic route from the amplitudes.  The probabilities and
+    the triangles are validated on either route.
+
+    The columns are built as the contiguous rows of one (11, n) block,
+    which is transposed once at the end: the probabilities, and on the
+    closed-form route every intermediate quantity, are computed as whole
+    rows, and the checks test whole rows with a few reductions.
     """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
     amps = amplitude_array(params, initial, le)
-    probs = checked_probabilities(amps.real ** 2 + amps.imag ** 2)
+    rows = np.empty((len(CSV_COLUMNS), len(amps)))
+    rows[0] = le
+    probs = rows[1:4]
+    np.square(amps.real.T, out=probs)
+    probs += np.square(amps.imag.T)
+    _clip_probability_rows(probs)
     if path == "closed-form":
-        vals, edges = _closed_form(probs)
-        check_triangles(edges)
+        values, edges = _closed_form(probs)
+        _check_triangle_rows(edges)
     else:
-        vals, edges = generic_measures(amps)
-    return np.column_stack([le, probs, vals, edges])
+        values, edges = (a.T for a in generic_measures(amps))
+    rows[4:8], rows[8:] = values, edges
+    return rows.T.copy()
 
 
 def report(params, initial, le, path="closed-form"):

@@ -97,16 +97,30 @@ def checked_probabilities(p):
     within 1e-10; otherwise ``ValueError`` names the first offending value.
     NaN fails both checks.
     """
-    p = np.asarray(p, dtype=np.float64)
-    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
-    if np.any(bad):
-        raise ValueError(f"probability {float(p[bad][0])!r} outside [0, 1] beyond tolerance")
-    p = np.clip(p, 0.0, 1.0)
-    total = p.sum(axis=-1)
-    bad = ~(np.abs(total - 1.0) <= 1e-10)
-    if np.any(bad):
-        raise ValueError(f"probabilities sum to {float(total[bad][0])!r}, expected 1")
+    p = np.array(p, dtype=np.float64)
+    _clip_probability_rows(np.moveaxis(p, -1, 0))
     return p
+
+
+def _clip_probability_rows(rows):
+    """``checked_probabilities`` in place, on component rows (p_e, p_mu, p_tau).
+
+    ``rows`` has shape (3, ...).  Each predicate is tested by whole-array
+    reductions, and the offending value is looked for only when one fails,
+    in the order of the (..., 3) layout.  Rounding is monotone, so the
+    smallest and the largest row sum decide |sum - 1| <= 1e-10 for all
+    rows; ``min`` and ``max`` return NaN if any value is NaN, and NaN fails
+    every comparison.
+    """
+    if rows.size and not (rows.min() >= -1e-12 and rows.max() <= 1.0 + 1e-12):
+        p = np.moveaxis(rows, 0, -1)
+        bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
+        raise ValueError(f"probability {float(p[bad][0])!r} outside [0, 1] beyond tolerance")
+    np.clip(rows, 0.0, 1.0, out=rows)
+    total = rows[0] + rows[1] + rows[2]
+    if total.size and not (total.min() - 1.0 >= -1e-10 and total.max() - 1.0 <= 1e-10):
+        bad = ~(np.abs(total - 1.0) <= 1e-10)
+        raise ValueError(f"probabilities sum to {float(total[bad][0])!r}, expected 1")
 
 
 def _flavor_index(flavor):
@@ -134,8 +148,9 @@ def build_pmns(params):
 
 def _checked_le(le):
     le = np.asarray(le, dtype=np.float64)
-    bad = ~((le >= 0.0) & (le < np.inf))
-    if np.any(bad):
+    # the smallest and the largest value decide; NaN fails both comparisons
+    if le.size and not (le.min() >= 0.0 and le.max() < np.inf):
+        bad = ~((le >= 0.0) & (le < np.inf))
         raise ValueError(f"L/E must be finite and non-negative, got {le[bad][0]} km/GeV")
     return le
 

@@ -528,6 +528,8 @@ def find_extremum(config, measure, kind, window):
         raise ConfigError("measure", f"must be one of {measures.MEASURE_NAMES}")
     if kind not in ("max", "min"):
         raise ConfigError("kind", f"must be 'max' or 'min', got {kind!r}")
+    if not all(math.isfinite(w) for w in window):
+        raise ConfigError("window", f"window bounds must be finite, got {window!r}")
     lo, hi = (w * config.unit_factor() for w in window)
     if not lo < hi:
         raise ConfigError("window", f"empty window {window!r}")

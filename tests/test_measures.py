@@ -40,10 +40,20 @@ def generic_edges(state):
     return tuple(measures.generic_measures([state.amplitudes()])[1][0].tolist())
 
 
+def closed_form_edges(p):
+    """The closed-form triangle edges of probabilities ``p`` (..., 3), shape (..., 3).
+
+    ``_closed_form`` takes and returns component rows, so the last axis goes
+    to the front and back; a single triple is its one (3, 1) column.
+    """
+    rows = np.moveaxis(np.atleast_2d(p), -1, 0)
+    return np.moveaxis(measures._closed_form(rows)[1], 0, -1).reshape(np.shape(p))
+
+
 #: The closed-form column picks by their former names, each as the
 #: expression that replaces it.
 CLOSED_FORM_PICKS = {
-    "triangle_edges_from_probs": lambda p: measures._closed_form(p)[1],
+    "triangle_edges_from_probs": closed_form_edges,
     "ggm_from_probs": lambda p: measures_from_probs(p)[..., 0],
     "three_pi_from_probs": lambda p: measures_from_probs(p)[..., 1],
     "gmc_from_probs": lambda p: measures_from_probs(p)[..., 2],
@@ -269,6 +279,65 @@ class TestGenericMeasures:
             "edge 0.25 violates the triangle inequality against (0.1, 0.25, 0.1)")
 
 
+class TestTriangleCheckBoundaries:
+    """Each bound of ``check_triangles`` holds to the ulp, in any row of a stack."""
+
+    def test_inequality_slack_is_exactly_1e_10(self):
+        # 0.5 + 1e-10 is the largest edge that (0.25, 0.25) still admits
+        stack = np.array([[0.2, 0.3, 0.4], [0.5 + 1e-10, 0.25, 0.25]])
+        check_triangles(stack)
+        stack[1, 0] = np.nextafter(0.5 + 1e-10, 1.0)
+        with pytest.raises(ValueError) as err:
+            check_triangles(stack)
+        assert str(err.value) == ("edge 0.5000000001000001 violates the triangle "
+                                  "inequality against (0.5000000001000001, 0.25, 0.25)")
+
+    @pytest.mark.parametrize("bound,outward,others", [
+        (-1e-10, -1.0, 0.5), (1.0 + 1e-10, 2.0, 0.5 + 5e-11),
+    ])
+    def test_edge_range_bounds(self, bound, outward, others):
+        for value in (bound, np.nextafter(bound, 0.5)):
+            check_triangles(np.array([[0.2, 0.3, 0.4], [value, others, others]]))
+        beyond = float(np.nextafter(bound, outward))
+        with pytest.raises(ValueError) as err:
+            check_triangles(np.array([[0.2, 0.3, 0.4], [beyond, others, others]]))
+        assert str(err.value) == f"triangle edge {beyond!r} outside [0, 1]"
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_nan_in_first_or_last_row(self, row):
+        # the NaN is reported, not the triangle violation in the middle row
+        stack = np.array([[0.2, 0.3, 0.4], [0.9, 0.1, 0.1], [0.3, 0.4, 0.5]])
+        stack[row, 2] = np.nan
+        with pytest.raises(ValueError) as err:
+            check_triangles(stack)
+        assert str(err.value) == "triangle edge nan outside [0, 1]"
+
+    def test_empty_stack_passes(self):
+        check_triangles(np.empty((0, 3)))
+
+
+class TestNanAndEmptyInputs:
+    def test_nan_row_fills_zero_through_the_gmc_gate(self):
+        p = np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5], [0.5, np.nan, 0.5]])
+        values = measures_from_probs(p)
+        # ggm, three_pi and gmc stay NaN; gmc > 0 is false, so the fill is 0
+        assert np.isnan(values[[0, 2], :3]).all()
+        assert values[[0, 2], 3].tolist() == [0.0, 0.0]
+        assert values[1].tolist() == measures_from_probs(p[1]).tolist()
+
+    def test_empty_probabilities(self):
+        assert measures_from_probs(np.empty((0, 3))).shape == (0, 4)
+
+    def test_empty_amplitudes_on_the_generic_route(self):
+        values, edges = measures.generic_measures(np.empty((0, 3)))
+        assert values.shape == (0, 4) and edges.shape == (0, 3)
+
+    @pytest.mark.parametrize("path", measures.PATHS)
+    def test_empty_grid_on_either_route(self, params, path):
+        rows = measures.table(params, "e", np.array([]), path=path)
+        assert rows.shape == (0, len(measures.CSV_COLUMNS))
+
+
 #: Needle-like triangles: the two largest edges nearly equal, the third tiny.
 NEEDLE_AMPLITUDES = (
     (0.6594896186777208, 0.751713670792484, 5.898654471275196e-08),
@@ -400,7 +469,7 @@ class TestClosedFormInvariants:
 
     def test_gmc_value_stable_under_edge_ties(self):
         p = np.array([0.25, 0.25, 0.5])
-        edges = measures._closed_form(p)[1]
+        edges = closed_form_edges(p)
         assert edges[0] == edges[1]
         assert measures_from_probs(p)[2] == edges.min()
 

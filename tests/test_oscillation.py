@@ -219,6 +219,59 @@ class TestProbabilities:
             checked_probabilities(np.array([0.5, 0.5, 0.5]))
         assert str(err.value) == "probabilities sum to 1.5, expected 1"
 
+    @pytest.mark.parametrize("inside,outside,message", [
+        (0.5000000000999998, 0.5000000000999999, "probabilities sum to 1.0000000001, expected 1"),
+        (0.4999999999000001, 0.49999999990000005, "probabilities sum to 0.9999999999, expected 1"),
+    ])
+    def test_checked_probabilities_sum_boundary(self, inside, outside, message):
+        # the last row's sum is within 1e-10 of 1 up to `inside`, one ulp on it is not
+        checked_probabilities(np.array([[0.25, 0.25, 0.5], [0.25, 0.25, inside]]))
+        with pytest.raises(ValueError) as err:
+            checked_probabilities(np.array([[0.25, 0.25, 0.5], [0.25, 0.25, outside]]))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bound,outward", [(-1e-12, -1.0), (1.0 + 1e-12, 2.0)])
+    def test_checked_probabilities_entry_boundary_ulps(self, bound, outward):
+        # the row is (x, 0, 1) near 0 and (x, 0, 0) near 1, so it sums to 1 once clamped
+        rest = 1.0 if bound < 0.5 else 0.0
+        for value in (bound, np.nextafter(bound, 0.5)):
+            clamped = checked_probabilities(np.array([[0.5, 0.5, 0.0], [value, 0.0, rest]]))
+            assert clamped[1].tolist() == [round(value), 0.0, rest]
+        beyond = float(np.nextafter(bound, outward))
+        with pytest.raises(ValueError) as err:
+            checked_probabilities(np.array([[0.5, 0.5, 0.0], [beyond, 0.0, rest]]))
+        assert str(err.value) == f"probability {beyond!r} outside [0, 1] beyond tolerance"
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_checked_probabilities_nan_in_first_or_last_row(self, row):
+        p = np.array([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+        p[row, 1] = np.nan
+        with pytest.raises(ValueError) as err:
+            checked_probabilities(p)
+        assert str(err.value) == "probability nan outside [0, 1] beyond tolerance"
+
+    def test_checked_le_keeps_negative_zero(self):
+        le = oscillation._checked_le(np.array([-0.0, 1.0, 0.0]))
+        assert np.signbit(le[0]) and le.tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("bad,shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"),
+        (-1e-300, "-1e-300"),
+    ])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_checked_le_names_the_first_bad_value(self, bad, shown, at):
+        le = np.array([0.0, -0.0, 5.0, 7.0])
+        le[at] = bad
+        with pytest.raises(ValueError) as err:
+            oscillation._checked_le(le)
+        assert str(err.value) == f"L/E must be finite and non-negative, got {shown} km/GeV"
+
+    def test_checked_le_accepts_empty_and_scalar_input(self):
+        assert oscillation._checked_le([]).shape == (0,)
+        assert oscillation._checked_le(-0.0).shape == ()
+        with pytest.raises(ValueError, match="got nan km/GeV"):
+            oscillation._checked_le(float("nan"))
+
     def test_row_and_column_sums(self, params):
         for le in (0.0, 123.4, 5678.0, 40000.0):
             m = probability_matrix(params, le)

@@ -844,6 +844,8 @@ class TestCli:
         "scale": ("--scale", "log", "log"),
     }
     GRID_FIELDS = ("le_min", "le_max", "points", "scale")
+    #: a single-point report takes neither the grid nor the route
+    TRIANGLE_OMITS = (*GRID_FIELDS, "path")
 
     @pytest.mark.parametrize("argv", [
         ["sweep"],
@@ -852,7 +854,7 @@ class TestCli:
     ], ids=lambda argv: argv[0])
     def test_each_flag_sets_the_field_of_its_name(self, argv):
         flags = {name: flag for name, flag in self.FLAGS.items()
-                 if argv[0] != "triangle" or name not in self.GRID_FIELDS}
+                 if argv[0] != "triangle" or name not in self.TRIANGLE_OMITS}
         args = build_parser().parse_args(
             argv + [arg for flag, value, _ in flags.values() for arg in (flag, value)])
         expected = dataclasses.asdict(SweepConfig())
@@ -863,6 +865,26 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_:
             main(["triangle", "--le", "4.61", "--points", "7"])
         assert exit_.value.code == 2
+
+    def test_triangle_takes_no_path_flag(self, capsys):
+        # the report is always closed-form, so a route flag would do nothing
+        with pytest.raises(SystemExit) as exit_:
+            main(["triangle", "--le", "4.61", "--json", "--path", "generic"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --path generic" in capsys.readouterr().err
+
+    def test_triangle_names_an_overflowing_le(self, capsys):
+        assert main(["triangle", "--le", "1e308"]) == 2
+        assert capsys.readouterr().err == "error: le: 1e+308 km/MeV overflows in km/GeV\n"
+        assert main(["triangle", "--le", "1e308", "--unit", "km/GeV"]) == 0
+
+    @pytest.mark.parametrize("window", [("nan", "13"), ("8", "inf")])
+    def test_extremum_names_a_non_finite_window(self, capsys, window):
+        argv = ["extremum", "--measure", "fill", "--kind", "max", "--window", *window]
+        assert main(argv) == 2
+        shown = repr(tuple(float(w) for w in window))
+        assert capsys.readouterr().err == (
+            f"error: window: window bounds must be finite, got {shown}\n")
 
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--le-min", "10", "--le-max", "5"]) == 2
