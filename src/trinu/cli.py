@@ -27,6 +27,23 @@ def load_preset(name):
     return SweepConfig.from_dict(json.loads(ref.read_text()))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that takes every number for a value.
+
+    argparse reads an argument that starts with "-" as an option unless it
+    looks like -1 or -1.5, so -inf and -1e-3 would stop at "expected one
+    argument" and never reach trinu's checks.  Here anything ``float``
+    reads is a value; subcommand parsers inherit the rule.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _add_sweep_flags(parser, with_grid=True):
     """The flags that set ``SweepConfig`` fields of the same name.
 
@@ -58,7 +75,7 @@ def build_parser():
     Building it takes about 0.8 ms, against about 1.2 ms for the rest of a
     closed-form ``extremum`` command, so ``main`` reuses it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trinu",
         description="Tripartite entanglement measures along three-flavor "
                     "neutrino oscillations.",

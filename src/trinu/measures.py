@@ -53,20 +53,13 @@ def check_triangles(edges):
     """Raise ``ValueError`` unless every row of ``edges`` (..., 3) is a triangle.
 
     Each edge must lie in [0, 1] and none may exceed the sum of the other
-    two, both within 1e-10.
+    two, both within 1e-10.  Each predicate is tested by whole-array
+    reductions, and the offending edge is looked for only when one fails.
+    ``min`` and ``max`` return NaN if any edge is NaN, and NaN fails both
+    comparisons.
     """
-    _check_triangle_rows(np.asarray(edges, dtype=np.float64).reshape(-1, 3).T)
-
-
-def _check_triangle_rows(rows):
-    """``check_triangles`` on edges held as component rows, shape (3, n).
-
-    Each predicate is tested by whole-array reductions, and the offending
-    edge is looked for only when one fails, in the order of the (n, 3)
-    layout.  ``min`` and ``max`` return NaN if any edge is NaN, and NaN
-    fails both comparisons.
-    """
-    edges = rows.T
+    edges = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+    rows = edges.T
     if rows.size and not (rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-10):
         bad = ~((edges >= -1e-10) & (edges <= 1.0 + 1e-10))
         raise ValueError(f"triangle edge {float(edges[bad][0])!r} outside [0, 1]")
@@ -337,8 +330,9 @@ def table(params, initial, le, path="closed-form"):
     ``le`` is a 1-D array of L/E values (km/GeV).  Returns a C-contiguous
     (n, 11) array whose columns are ``CSV_COLUMNS``.  Both routes take the
     probabilities |a|^2 of one amplitude evaluation; the closed form works
-    from them, the generic route from the amplitudes.  The probabilities and
-    the triangles are validated on either route.
+    from them, the generic route from the amplitudes.  The probabilities are
+    validated on either route, the generic route's triangles by
+    ``check_triangles``.
 
     The columns are built as the contiguous rows of one (11, n) block,
     which is transposed once at the end: the probabilities, and on the
@@ -355,8 +349,11 @@ def table(params, initial, le, path="closed-form"):
     probs += np.square(amps.imag.T)
     _clip_probability_rows(probs)
     if path == "closed-form":
+        # edges 4 p_x (p_y + p_z) need no triangle check: e_b + e_c - e_a =
+        # 8 p_b p_c >= 0, and an edge exceeds 1 + 1e-10 only for a row that
+        # sums to more than 1 + 5e-11, where |a|^2 of unitary evolution sums
+        # to 1 within about 1e-15
         values, edges = _closed_form(probs)
-        _check_triangle_rows(edges)
     else:
         values, edges = (a.T for a in generic_measures(amps))
     rows[4:8], rows[8:] = values, edges

@@ -6,13 +6,13 @@ digits ('%.12g', lowercase scientific below 1e-4), so repeated runs with the
 same configuration are byte-identical.
 
 ``format_number`` is the rule for one value.  The table writers apply it in
-numpy, 512 rows at a time (0.55 MB of working memory for 11 columns).
+numpy, 512 rows of 11 columns at a time (0.41 MB of working memory).
 Scaling |x| by one exact power of ten gives a 12-digit mantissa with a
-single rounding, which is the one ``%`` prints unless it lies within 1e-3
+single rounding, which is the one ``%`` prints unless it lies within 1e-4
 of a half-integer.  Those values, zeros, non-finite values and decimal
-exponents outside [-11, 33], about 0.2% of a preset sweep, go through
-``format_number`` itself; the section above ``_write_block`` gives the
-argument in full.
+exponents outside [-11, 33], 0.03-0.04% of a preset sweep's values, go
+through ``format_number`` itself; the section above ``_fill_slots`` gives
+the argument in full.
 """
 
 import json
@@ -295,26 +295,33 @@ def format_number(x):
 # product for e <= 11, else a quotient, by one of 10^0…10^22, which are
 # exact doubles.  So s is the exact t = |x|·10^(11-e) after one rounding,
 # |s - t| <= half an ulp < 6.2e-5 on [1e11, 1e12).  Where s is more than
-# 1e-3 from a half-integer, so is t, and rint(s) = rint(t) is the 12-digit
-# mantissa that ``%`` prints (CPython rounds the exact binary value
-# correctly, after D. M. Gay, 1990).  Everything else goes to
-# ``format_number``: s within 1e-3 of a half-integer (exact ties included),
-# zeros, infinities, NaNs, exponents outside [-11, 33], and s outside
-# [1e11, 1e12) or rounding up to 1e12 (near powers of ten, where log10 can
-# misjudge e; an s that rounds up to 1e11 from below prints as 10^e at
-# either exponent).  That is 0.17-0.21% of the values of the preset sweeps.
+# 1e-4 from a half-integer, t is more than 3.8e-5 from it, and rint(s) =
+# rint(t) is the 12-digit mantissa that ``%`` prints (CPython rounds the
+# exact binary value correctly, after D. M. Gay, 1990).  Everything else
+# goes to ``format_number``: s within 1e-4 of a half-integer (exact ties
+# included), zeros, infinities, NaNs, exponents outside [-11, 33], and s
+# outside [1e11, 1e12) or rounding up to 1e12 (near powers of ten, where
+# log10 can misjudge e; an s that rounds up to 1e11 from below prints as
+# 10^e at either exponent).  Counted over the CSV and slopes, that is
+# 0.03-0.04% of the values of the preset sweeps and 713 of the 3.2M values
+# (0.022%) of a 200k-point electron sweep; a 1e-3 margin sent 0.19-0.21%.
 #
-# Layout.  Each value gets a 40-byte slot of five little-endian words:
-# sign and "0." to "0.000" prefix; the 12 digits, one in every other byte
-# (groups of four from a 10000-entry table), so that the byte after each
-# digit can take the point; exponent and separator.  Tables indexed by the
-# exponent, the sign and the last nonzero digit write the prefix and the
-# exponent, put in the point and blank the trailing zeros by %g's rules.
-# Deleting the zero bytes of a block leaves its text.
+# Layout.  Each value gets a 24-byte slot of three little-endian words:
+# bytes 0-5 hold the sign and the "0." to "0.000" prefix, bytes 6-17 the 12
+# digits, one per byte (groups of four from a 10000-entry table), byte 18
+# room for the point, bytes 19-22 the exponent and byte 23 the separator.
+# Tables indexed by the sign and the exponent give the prefix and the
+# exponent.  Only the values with a trailing zero or a point inside their
+# digits, 27-30% of a sweep's, are edited further, by tables indexed by
+# (exponent, last nonzero digit): where a kept digit follows the point, the
+# digits after it move up a byte, as a word shift, and the point goes into
+# the gap; each trailing "0" that %g drops is cleared.  Deleting the zero
+# bytes of a block leaves its text.
 # ---------------------------------------------------------------------------
 
-#: Rows per block of the table writers: formatting a block of 11 columns
-#: peaks at 0.55 MB (``tracemalloc``).
+#: Rows per block of the 11-column CSV; a narrower table takes as many
+#: values per block, in more rows.  Formatting a block peaks at 0.41 MB
+#: (``tracemalloc``).
 _BLOCK_ROWS = 512
 
 #: k = floor(log10|x|) + _K0, clipped to [0, 46], indexes the per-exponent
@@ -330,50 +337,64 @@ _DIV = np.where(_E > 11, _POW10[np.clip(_E - 11, 0, 22)], 1.0)
 _DIV[-1] = np.nan
 
 
-def _bytes_at(codes, at):
-    """Little-endian words holding the byte ``codes`` (0 for none) at byte ``at``."""
-    return np.asarray(codes, dtype=np.int64) << (8 * np.asarray(at, dtype=np.int64))
+def _slot_words(codes):
+    """The three little-endian words of 24-byte slots holding ``codes`` (..., 24), a byte each.
+
+    A negative code subtracts its byte: added to a slot, the word takes it away.
+    """
+    at = np.arange(24)
+    return (np.asarray(codes) << 8 * (at % 8)).reshape(*np.shape(codes)[:-1], 3, 8).sum(axis=-1)
 
 
 def _number_tables():
-    """The word tables of the block formatter, built from index arrays."""
-    # four digits of 0000…9999 in bytes 0, 2, 4 and 6, from those of 00…99
+    """The tables of the block formatter, built from index arrays over the bytes of a slot."""
+    # the digits of 0000…9999, one per byte, from those of 00…99
     pair = np.arange(100)
-    two = _bytes_at(48 + pair // 10, 0) + _bytes_at(48 + pair % 10, 2)
-    digits = (two[:, None] + (two << 32)).ravel()
+    two = 48 + pair // 10 + (48 + pair % 10 << 8)
+    digits = (two[:, None] + (two << 16)).ravel()
     # position (1-12) of a group's last nonzero digit among the 12, 0 if none
     last2 = (pair > 0).astype(np.uint8) + (pair % 10 > 0)
     last4 = np.where(pair > 0, 2 + last2, last2[:, None]).ravel()
     last_nonzero = np.where(last4 > 0, last4 + 4 * np.arange(3, dtype=np.uint8)[:, None], 0)
-    # by exponent: sign and "0." to "0.000" prefix, digits before the point
-    # (0 with a prefix) and exponent
+    # by sign and exponent: the sign and "0." to "0.000" prefix in bytes 0-5
+    # (word 0), and the exponent in bytes 19-22 (word 2)
     fixed = (_E >= -4) & (_E < 12)
     width = np.where(fixed & (_E < 0), 1 - _E, 0)
     at = np.arange(1, 6)
-    prefix = _bytes_at(np.where(at <= width[:, None], [48, 46, 48, 48, 48], 0), at).sum(axis=1)
-    sign_prefix = np.concatenate([prefix, prefix + ord("-")])
-    point = np.where(fixed, np.maximum(_E + 1, 0), 1)
+    prefix = (np.where(at <= width[:, None], [48, 46, 48, 48, 48], 0) << 8 * at).sum(axis=1)
     size = np.maximum(_E, -_E)
     codes = np.column_stack([np.full(47, ord("e")), np.where(_E < 0, ord("-"), ord("+")),
                              48 + size // 10, 48 + size % 10])
-    exponent = np.where(fixed, 0, _bytes_at(codes, np.arange(4)).sum(axis=1))
-    # by (exponent, last nonzero digit): drop each "0" after the last kept
-    # digit, and put the point after digit ``point`` if a kept digit follows
+    exponent = np.where(fixed, 0, (codes << 8 * np.arange(3, 7)).sum(axis=1))
+    # by (exponent, last nonzero digit): keep the digits up to the last
+    # nonzero one or the point, whichever is later; if a kept digit follows
+    # digit ``point``, the digits after it move up a byte for the point
+    point = np.where(fixed, np.maximum(_E + 1, 0), 1)
     kept = np.maximum(np.arange(13), point[:, None])[..., None]
-    d = np.arange(1, 13)
-    byte = 2 * ((d - 1) % 4)
-    edit = (_bytes_at(np.where(d > kept, -48, 0), byte)
-            + _bytes_at(np.where((d == point[:, None, None]) & (d < kept), 46, 0), byte + 1))
-    edit = edit.reshape(47 * 13, 3, 4).sum(axis=2).T
-    return (digits.astype("<i8", copy=False), last_nonzero.ravel(),
-            sign_prefix.astype("<i8", copy=False), exponent.astype("<i8", copy=False),
-            np.ascontiguousarray(edit, dtype="<i8"))
+    p = np.where(point[:, None, None] < kept, point[:, None, None], 0)
+    digit = np.arange(24) - 5   # digit d (1-12) of a slot sits in its byte 5 + d
+    moving = _slot_words((p > 0) & (digit > p) & (digit <= 12))
+    # after the move: -"0" on each trailing zero, which clears it, and the point
+    shifted = digit - ((p > 0) & (digit > p + 1))
+    edit = _slot_words(np.where((shifted > kept) & (shifted <= 12) & (digit >= 1), -48,
+                                np.where((p > 0) & (digit == p + 1), 46, 0)))
+    return (digits.astype(np.uint32), last_nonzero.ravel(),
+            np.concatenate([prefix, prefix + ord("-")]).astype(np.uint64),
+            exponent.astype(np.uint64), (point > 0) & (point < 12),
+            moving.astype(np.uint64).view("V24").ravel(),
+            edit.astype(np.uint64).view("V24").ravel())
 
 
-_DIGITS, _LAST_NONZERO, _SIGN_PREFIX, _EXPONENT, _EDIT = _number_tables()
-_GROUP_SCALE = np.array([1e8, 1e4, 1.0])[:, None]
+#: The tables: digit groups, each group's last nonzero digit, the slot's
+#: words 0 (by sign and exponent) and 2 (by exponent), whether a point can
+#: fall inside the digits (by exponent), and by (exponent, last nonzero
+#: digit) the digit bytes that move up (1, else 0) and, added after the
+#: move, the trailing zeros cleared and the point
+(_DIGITS, _LAST_NONZERO, _SIGN_PREFIX, _EXPONENT, _POINTED, _MOVE,
+ _EDIT) = _number_tables()
+_GROUP_DIVISOR = np.array([10 ** 8, 10 ** 4, 1])[:, None]
 _GROUP_OFFSET = 10000 * np.arange(3)[:, None]
-_SEPARATORS = _bytes_at([ord(","), ord("\n")], 4)
+_SEPARATORS = np.array([ord(","), ord("\n")], dtype=np.uint64) << 56
 
 
 def _mantissas(x):
@@ -395,7 +416,7 @@ def _mantissas(x):
         m = np.rint(s)
         np.subtract(s, m, out=t)
         np.abs(t, out=t)
-        ok = t <= 0.499
+        ok = t <= 0.4999
         ok &= s >= 1e11
         ok &= m < 1e12
     fallback = np.flatnonzero(~ok)
@@ -404,53 +425,84 @@ def _mantissas(x):
     return k, m, fallback
 
 
-def _digit_words(k, m):
-    """The three digit words of each mantissa, its point put in and its trailing zeros out."""
-    group = np.divide(m, _GROUP_SCALE)   # m / 1e8, m / 1e4 and m, exact after floor
-    np.floor(group, out=group)
-    group[1:] -= 1e4 * group[:-1]
-    g = group.astype(np.intp)
-    del group
-    words = _DIGITS.take(g)
-    g += _GROUP_OFFSET
-    # _EDIT has 13 columns per exponent, one per last nonzero digit (0-12)
-    edit = _LAST_NONZERO.take(g).max(axis=0) + 13 * k
-    words += _EDIT.take(edit, axis=1)
-    return words
+def _fill_slots(text, x, separators):
+    """Write the 24-byte slots of the values ``x`` to the start of ``text``.
 
-
-def _write_block(block, stream, separators):
-    """Write the rows of one block, each value as ``format_number`` writes it."""
-    x = block.ravel()
+    ``separators`` end the rows of a block.  Every byte of each slot is
+    written, so ``text`` need not be cleared between blocks.
+    """
     k, m, fallback = _mantissas(x)
-    words = _digit_words(k, m)
-    text = bytearray(40 * x.size)
-    slots = np.frombuffer(text, "<i8").reshape(x.size, 5)
-    slots[:, 1:4] = words.T
-    del words
-    slots[:, 4] = _EXPONENT.take(k)
-    slots[:, 4].reshape(block.shape)[...] += separators
-    k += np.signbit(x) * len(_E)
-    slots[:, 0] = _SIGN_PREFIX.take(k)
+    words = np.frombuffer(text, "<u8", 3 * x.size)
+    words[0::3] = _SIGN_PREFIX.take(np.signbit(x) * len(_E) + k)
+    np.add(_EXPONENT.take(k).reshape(-1, len(separators)), separators,
+           out=words[2::3].reshape(-1, len(separators)))
+    # m // 10^8, m // 10^4 and m, less the digits of the groups before; the
+    # three groups go to bytes 6, 10 and 14 of each slot
+    g = m.astype(np.intp) // _GROUP_DIVISOR
+    del m
+    g[1:] -= 10000 * g[:-1]
+    digits = _DIGITS.take(g)
+    np.ndarray((3, x.size), "<u4", text, 6, (4, 24))[...] = digits
+    # the values with a trailing zero or a point inside their digits: the
+    # others print all 12 digits as they stand
+    rows = np.flatnonzero((digits[2].view(np.uint8)[3::4] == ord("0")) | _POINTED.take(k))
+    del digits
+    if rows.size:
+        g = g.take(rows, axis=1)
+        g += _GROUP_OFFSET
+        last = _LAST_NONZERO.take(g)
+        # 13 table entries per exponent, one per last nonzero digit (0-12)
+        edit = np.maximum(np.maximum(last[0], last[1]), last[2], dtype=np.intp)
+        edit += 13 * k[rows]
+        slots = words.view("V24")
+        w = slots.take(rows).view("<u8")
+        # the digits after the point move up a byte, the top byte of a word
+        # into the next word (none leaves a slot); then the edit puts in the
+        # point and takes "0" from each trailing zero.  No byte of these sums
+        # and differences carries into the next, so whole words take them
+        moving = _MOVE.take(edit).view(np.uint8)
+        moving *= w.view(np.uint8)
+        moving = moving.view("<u8")
+        w -= moving
+        w[1:] += moving[:-1] >> 56
+        moving <<= 8
+        w += moving
+        w += _EDIT.take(edit).view("<u8")
+        np.put(slots, rows, w.view("V24"))
     if fallback.size:
-        exact = "".join([format_number(y).ljust(32, "\0") for y in x[fallback].tolist()])
-        slots[fallback, :4] = np.frombuffer(exact.encode("ascii"), "<i8").reshape(-1, 4)
+        exact = "".join([format_number(y).ljust(23, "\0") for y in x[fallback].tolist()])
+        words.view(np.uint8).reshape(-1, 24)[fallback, :23] = np.frombuffer(
+            exact.encode("ascii"), np.uint8).reshape(-1, 23)
+
+
+def _write_block(block, stream, separators, text):
+    """Write the rows of one block, each value as ``format_number`` writes it.
+
+    ``text`` is a buffer of at least 24 bytes per value, reused from block
+    to block.
+    """
+    _fill_slots(text, block.ravel(), separators)
+    if len(text) > 24 * block.size:
+        text = text[:24 * block.size]
     stream.write(text.translate(None, b"\0").decode("ascii"))
 
 
 def _write_table(columns, table, stream, header):
     """Write the rows of ``table`` as ``format_number`` would, after a header line if asked.
 
-    The rows go out in blocks of ``_BLOCK_ROWS``, each formatted in numpy
-    (see above) and written as soon as it is formatted.
+    The rows go out in blocks of ``_BLOCK_ROWS`` CSV rows' worth of values,
+    each formatted in numpy (see above) into one reused buffer and written
+    as soon as it is formatted.
     """
     if header:
         stream.write(",".join(columns) + "\n")
     table = np.asarray(table, dtype=float)
     separators = np.full(table.shape[1], _SEPARATORS[0])
     separators[-1] = _SEPARATORS[1]
-    for start in range(0, len(table), _BLOCK_ROWS):
-        _write_block(table[start:start + _BLOCK_ROWS], stream, separators)
+    rows = _BLOCK_ROWS * len(CSV_COLUMNS) // table.shape[1]
+    text = bytearray(24 * rows * table.shape[1])
+    for start in range(0, len(table), rows):
+        _write_block(table[start:start + rows], stream, separators, text)
 
 
 def write_slopes(table, stream, header=True):
@@ -535,7 +587,8 @@ def find_extremum(config, measure, kind, window):
         raise ConfigError("window", f"empty window {window!r}")
     sweep_lo, sweep_hi = config.le_min * config.unit_factor(), config.le_max * config.unit_factor()
     if lo < sweep_lo - 1e-9 or hi > sweep_hi + 1e-9:
-        raise ConfigError("window", "window must lie inside the sweep range")
+        raise ConfigError("window", f"window {window!r} must lie inside the sweep range "
+                                    f"[{config.le_min}, {config.le_max}] {config.unit}")
     params = config.load_params()
     path = "closed-form" if config.path == "both" else config.path
     column = CSV_COLUMNS.index(measure)

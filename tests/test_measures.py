@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trinu import (
@@ -20,6 +20,7 @@ from trinu import (
 )
 from trinu import linalg, measures
 from trinu.measures import MEASURE_NAMES, check_triangles, heron_fill, measures_from_probs
+from trinu.oscillation import _clip_probability_rows
 
 from conftest import w_class_states
 
@@ -466,6 +467,23 @@ class TestClosedFormInvariants:
         p = np.full(3, 1 / 3)
         assert measures_from_probs(p)[2] == pytest.approx(8 / 9, abs=1e-12)
         assert measures_from_probs(p)[3] == pytest.approx(8 / 9, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=16),
+           st.floats(-4e-11, 4e-11))
+    @example([(1.0, 1.0, 0.0)], 4e-11)
+    @example([(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1e-300, 0.0)], 0.0)
+    def test_closed_form_edges_pass_the_triangle_check(self, weights, excess):
+        # why ``table`` does not check the closed-form triangles: for rows the
+        # probability check accepts, summing to within 4e-11 of 1, the edges
+        # 4 p_x (p_y + p_z) pass it (e_b + e_c - e_a = 8 p_b p_c, and no edge
+        # exceeds the squared row sum); |a|^2 of unitary evolution sums to 1
+        # within about 1e-15
+        w = np.array(weights).T
+        w[0, w.sum(axis=0) == 0.0] = 1.0   # an all-zero draw stands for a basis state
+        p = np.minimum(w / w.sum(axis=0) * (1.0 + excess), 1.0)
+        _clip_probability_rows(p)
+        check_triangles(measures._closed_form(p)[1].T)
 
     def test_gmc_value_stable_under_edge_ties(self):
         p = np.array([0.25, 0.25, 0.5])

@@ -183,6 +183,19 @@ class TestConfig:
         assert m.le_min == 10.0 and m.le_max == 1600.0
 
 
+def table_cells():
+    """A value for each cell of the writer's tables, both signs.
+
+    Each decimal exponent -11…33 with each last nonzero digit 1…12, once
+    after nonzero digits and once after zeros.  Exponents 0…10 put the point
+    after each digit 1…11.
+    """
+    values = [float(f"{digits}e{e - last + 1}")
+              for e in range(-11, 34) for last in range(1, 13)
+              for digits in ("987654321987"[:last], "10000000000"[:last - 1] + "3")]
+    return np.array(values + [-v for v in values])
+
+
 class TestFormatting:
     @pytest.mark.parametrize("x,text", [
         (0.0, "0"),
@@ -239,6 +252,31 @@ class TestWriters:
         for start in range(0, len(table), chunk):
             write_csv(table[start:start + chunk], buf, header=start == 0)
         assert_same_text(buf.getvalue(), reference_text(CSV_COLUMNS, table))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("columns", [CSV_COLUMNS, SLOPE_COLUMNS], ids=["csv", "slopes"])
+    def test_every_table_cell_matches_reference(self, columns, offset):
+        # one block's rows, give or take one: 512 rows of the CSV, 1126 of the slopes
+        rows = sweep._BLOCK_ROWS * len(CSV_COLUMNS) // len(columns) + offset
+        values = table_cells()
+        assert sweep._mantissas(values)[2].size == 0   # none takes the fallback
+        table = np.resize(values, (rows, len(columns)))
+        stream = io.StringIO()
+        sweep._write_table(columns, table, stream, header=True)
+        assert_same_text(stream.getvalue(), reference_text(columns, table))
+
+    def test_fallback_margin_neighbours_match_reference(self):
+        # mantissas s = |x|·10^(11-e) 1e-4 from a half-integer, and one ulp of
+        # s either side: at e = 11, where x is s, some fall inside the margin
+        # and take ``format_number``, the others the tables; then e = 0, -3, 20
+        rng = np.random.default_rng(26)
+        half = rng.integers(10 ** 11, 10 ** 12 - 1, size=100) + 0.5
+        s = nearest((half[:, None] + [-1e-4, 1e-4]).ravel(), 1)
+        assert 0 < sweep._mantissas(s)[2].size < s.size
+        values = np.concatenate([s, s * 1e-11, s * 1e-14, s * 1e9])
+        values = np.concatenate([values, -values])
+        table = np.resize(values, (-(-len(values) // len(CSV_COLUMNS)), len(CSV_COLUMNS)))
+        assert_same_text(written(write_csv, table), reference_text(CSV_COLUMNS, table))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES)),
@@ -878,13 +916,27 @@ class TestCli:
         assert capsys.readouterr().err == "error: le: 1e+308 km/MeV overflows in km/GeV\n"
         assert main(["triangle", "--le", "1e308", "--unit", "km/GeV"]) == 0
 
-    @pytest.mark.parametrize("window", [("nan", "13"), ("8", "inf")])
+    @pytest.mark.parametrize("window", [("nan", "13"), ("8", "inf"), ("-inf", "13")])
     def test_extremum_names_a_non_finite_window(self, capsys, window):
         argv = ["extremum", "--measure", "fill", "--kind", "max", "--window", *window]
         assert main(argv) == 2
         shown = repr(tuple(float(w) for w in window))
         assert capsys.readouterr().err == (
             f"error: window: window bounds must be finite, got {shown}\n")
+
+    def test_extremum_names_a_window_outside_the_range(self, capsys):
+        # -1e5 is a value, not an option, for argparse too
+        argv = ["extremum", "--measure", "fill", "--kind", "max", "--window", "-1e5", "13"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: window: window (-100000.0, 13.0) must lie inside the sweep range "
+            "[0.0, 40.0] km/MeV\n")
+
+    def test_sweep_names_a_negative_le_min_in_exponent_form(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--le-min", "-1e-3", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: le_min: L/E must be non-negative, got -0.001\n"
+        assert not out.exists()
 
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--le-min", "10", "--le-max", "5"]) == 2
@@ -914,11 +966,12 @@ class TestCli:
         rec = json.loads(out.read_text())
         assert rec["shortest_edge"] == pytest.approx(0.09, abs=0.02)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-inf", "-1e-3"])
     def test_triangle_rejects_bad_le(self, capsys, value):
         assert main(["triangle", "--le", value]) == 2
         err = capsys.readouterr().err
-        assert "L/E must be finite and non-negative" in err
+        # named in km/GeV, 1000 times the km/MeV value given
+        assert f"L/E must be finite and non-negative, got {float(value) * 1000.0} km/GeV" in err
         assert "triangle edge" not in err
 
     def test_nan_params_file_exit_code(self, tmp_path, capsys):
