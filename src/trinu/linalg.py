@@ -1,10 +1,15 @@
 """Dense complex linear algebra for matrices up to 8x8.
 
 Everything here operates on plain ``numpy`` arrays and broadcasts over
-leading axes, so a stack of matrices is handled in one call.  The
+leading axes, so a stack of matrices is handled in one call.  The private
+helpers of the generic route (``_partial_trace``, ``_x_spectra``) take
+entry rows instead: shape (d, d, ...), the matrix axes first and the states
+after them, so that each entry of every matrix is one contiguous row.  The
 three-qubit index convention is fixed once and for all: qubit A is the most
 significant bit of the 3-bit basis index, so ``|100>`` sits at index 4.
 """
+
+import itertools
 
 import numpy as np
 
@@ -46,20 +51,16 @@ def hermitian_eigenvalues(m):
     return eigvalsh_small(0.5 * (m + np.swapaxes(m, -1, -2).conj()))
 
 
-#: Entries of a 4x4 matrix outside the X pattern (diagonal and anti-diagonal).
-_OFF_X = (np.array([0, 0, 1, 1, 2, 2, 3, 3]), np.array([1, 2, 0, 3, 0, 3, 1, 2]))
-
-
 def _eig2(a, d, b):
     """Determinant and eigenvalues of 2x2 Hermitian blocks [[a, b*], [b, d]].
 
-    ``a`` and ``d`` are real, ``b`` complex, all of one shape; returns
-    (det, smaller, larger) of that shape.  The larger eigenvalue is
-    (a + d)/2 + hypot((a - d)/2, |b|).  Where a + d > 0 the smaller is det
-    over the larger, which does not cancel when it is near 0.  Elsewhere the
-    sum for the larger can cancel to a rounding residue of either sign,
-    which makes that quotient meaningless, while the difference (a + d)/2 -
-    hypot(...) for the smaller does not cancel.
+    ``a`` and ``d`` are real, ``b`` complex, of shapes that broadcast
+    together; returns (det, smaller, larger) of the broadcast shape.  The
+    larger eigenvalue is (a + d)/2 + hypot((a - d)/2, |b|).  Where a + d > 0
+    the smaller is det over the larger, which does not cancel when it is
+    near 0.  Elsewhere the sum for the larger can cancel to a rounding
+    residue of either sign, which makes that quotient meaningless, while the
+    difference (a + d)/2 - hypot(...) for the smaller does not cancel.
     """
     mean = (a + d) / 2.0
     radius = np.hypot((a - d) / 2.0, np.abs(b))
@@ -71,27 +72,40 @@ def _eig2(a, d, b):
 
 
 def _x_spectra(m):
-    """X-block eigenvalues of a Hermitian (..., 4, 4) stack and its partial transpose.
+    """X-block eigenvalues of Hermitian 4x4 matrices and of their partial transposes.
 
-    Returns ``off``, shape (...), the largest |entry| outside the X pattern;
-    the eigenvalues of the blocks {|00>, |11>} and {|01>, |10>} of ``m`` as
-    (..., 4), (smaller, larger) of the first block, then of the second; and
-    the same for the partial transpose of ``m``.  A partial transpose, on
-    either qubit, maps the X pattern onto itself: it keeps the diagonal and
-    trades the blocks' off-diagonal entries, so its blocks take |m[1, 2]|
-    and |m[0, 3]| where those of ``m`` take |m[3, 0]| and |m[2, 1]|.  Each
-    block's eigenvalues come from ``_eig2``.
+    ``m`` holds the matrices as entry rows, shape (4, 4, ...): ``m[r, c]``
+    is entry (r, c) of every matrix.  Returns ``off``, shape (...), the
+    largest |entry| outside the X pattern; the eigenvalues of the blocks
+    {|00>, |11>} and {|01>, |10>} of ``m`` as (4, ...) rows, (smaller,
+    larger) of the first block, then of the second; and the same for the
+    partial transpose of ``m``.  A partial transpose, on either qubit, maps
+    the X pattern onto itself: it keeps the diagonal and trades the blocks'
+    off-diagonal entries, so its blocks take |m[1, 2]| and |m[0, 3]| where
+    those of ``m`` take |m[3, 0]| and |m[2, 1]|.  Every entry is read
+    through a strided view of the flat entry rows, so nothing is copied
+    before ``_eig2`` takes the eigenvalues of all four blocks at once.
     """
-    diag = np.diagonal(m, axis1=-2, axis2=-1).real
-    a, d = diag[..., [0, 1, 0, 1]], diag[..., [3, 2, 3, 2]]
-    _, lo, hi = _eig2(a, d, m[..., [3, 2, 1, 0], [0, 1, 2, 3]])
-    off = np.abs(m[..., _OFF_X[0], _OFF_X[1]]).max(axis=-1)
-    w = np.stack([lo, hi], axis=-1).reshape(m.shape[:-2] + (2, 4))
-    return off, w[..., 0, :], w[..., 1, :]
+    flat = m.reshape((16,) + m.shape[2:])
+    # the blocks' entries a, (m[0, 0], m[1, 1]), and d, (m[3, 3], m[2, 2]),
+    # are shared by the transpose; their entries b, (m[3, 0], m[2, 1]) of m
+    # and (m[1, 2], m[0, 3]) of its transpose, at flat 12, 9, 6 and 3, are
+    # (transpose, block) rows
+    a, d = flat[0:6:5].real, flat[15:9:-5].real
+    b = flat[12:2:-3].reshape((2, 2) + m.shape[2:])
+    _, lo, hi = _eig2(a, d, b)
+    # off the X: m[0, 1:3], m[3, 1:3], m[1, 0::3] and m[2, 0::3]
+    off = np.maximum(np.abs(m[0::3, 1:3]).max(axis=(0, 1)),
+                     np.abs(m[1:3, 0::3]).max(axis=(0, 1)))
+    w = np.stack([lo, hi], axis=2).reshape((2, 4) + m.shape[2:])
+    return off, w[0], w[1]
 
 
 def _check_x_psd(off, w):
     """Raise ``ValueError`` unless ``_x_spectra(m)[:2]`` shows an X-shaped, PSD ``m``.
+
+    ``off`` has shape (...) and ``w`` holds the block eigenvalues as (4, ...)
+    rows, as ``_x_spectra`` returns them.
 
     Every entry outside the X pattern must be within ``HERMITICITY_TOL`` of
     zero.  That off-X part is Hermitian with at most two entries per row, so
@@ -106,7 +120,7 @@ def _check_x_psd(off, w):
         raise ValueError(
             f"matrix is not an X state: off-X entry {worst:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    low = float((w.min(axis=-1) - 2.0 * off).min())
+    low = float((w.min(axis=0) - 2.0 * off).min())
     if not low > -PSD_TOL:
         raise ValueError(
             f"matrix is not PSD: min eigenvalue bound {low:.3e} is below {-PSD_TOL:.1e}"
@@ -133,18 +147,36 @@ def partial_trace(rho, keep):
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
     check_hermitian(rho)
-    return _partial_trace(rho, keep)
+    rows = _partial_trace(np.moveaxis(rho, (-2, -1), (0, 1)), keep)
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
-def _partial_trace(rho, keep):
-    """``partial_trace`` of a complex (..., 8, 8) stack, without input checks."""
+def _partial_trace(rows, keep, out=None):
+    """``partial_trace`` of entry rows (8, 8, ...), as entry rows (d, d, ...).
+
+    No input checks.  The rows, reshaped to the qubit axes (a, b, c, a', b',
+    c', ...), give each reduced entry as the sum of the diagonal slices over
+    the traced qubits: two for a pair, added by one ``np.add``, four for a
+    single qubit.  ``out``, if given, is a C-contiguous (d, d, ...) array
+    that takes the result.
+    """
     kept = _qubit_axes(keep)
-    ket = "abc"
-    bra = "".join(q.upper() if i in kept else q for i, q in enumerate(ket))
-    out = "".join(ket[i] for i in kept) + "".join(bra[i] for i in kept)
-    t = np.einsum(f"...{ket}{bra}->...{out}", rho.reshape(rho.shape[:-2] + (2,) * 6))
+    traced = [q for q in range(len(QUBITS)) if q not in kept]
+    t = rows.reshape((2,) * 6 + rows.shape[2:])
+    terms = []
+    for bits in itertools.product((0, 1), repeat=len(traced)):
+        index = [slice(None)] * 6
+        for q, bit in zip(traced, bits):
+            index[q] = index[q + 3] = bit
+        terms.append(t[tuple(index)])
     d = 2 ** len(kept)
-    return t.reshape(rho.shape[:-2] + (d, d))
+    if out is None:
+        out = np.empty((d, d) + rows.shape[2:], dtype=np.complex128)
+    sums = out.reshape(terms[0].shape)
+    np.add(terms[0], terms[1], out=sums)
+    for term in terms[2:]:
+        sums += term
+    return out
 
 
 def partial_transpose(rho, on=0):

@@ -5,7 +5,9 @@ Every measure is available along two independent routes:
 * a *generic* route that works on the 8x8 density matrix through partial
   traces and the spectra of the two-qubit reductions and of their partial
   transposes, batched over stacks of states.  Those reductions are X
-  states, so all these spectra come in closed form from 2x2 blocks, and
+  states, so all these spectra come in closed form from 2x2 blocks.  It
+  holds the matrices as entry rows, states on the last axis, so each entry
+  it reads is one contiguous row, and
 * a *closed-form* route expressed directly in the three oscillation
   probabilities.  It works on them as component rows (p_e, p_mu, p_tau),
   so that each quantity it forms is one contiguous row of a block.
@@ -227,45 +229,88 @@ def negativity(rho):
     return float(n) if n.ndim == 0 else n
 
 
-def _generic_chunk(amps):
+#: Flat indices k * 16 + r * 4 + c, into the entry rows of the pair block
+#: (AB, AC, BC; r, c), of the two terms of each single-qubit entry: rho_A =
+#: Tr_B rho_AB and rho_B = Tr_A rho_AB from the AB block, rho_C = Tr_A rho_AC
+#: from the AC block.  a = rho[0, 0] and d = rho[1, 1] of A, B and C, then
+#: b = rho[1, 0].
+_SINGLE_AD = (np.array([0, 0, 16, 10, 5, 21]), np.array([5, 10, 26, 15, 15, 31]))
+_SINGLE_B = (np.array([8, 4, 20]), np.array([13, 14, 30]))
+
+
+def _pair_traces(amps):
+    """rho_AB, rho_AC and rho_BC of the states ``amps`` (m, 3), as one
+    (3, 4, 4, m) block of entry rows."""
     # density has checked the amplitudes, and v v^dagger of them is Hermitian
     # to rounding, so the route makes no Hermiticity check
-    rho = tristate.density(amps)
-    pairs = np.stack([linalg._partial_trace(rho, pair) for pair in ("AB", "AC", "BC")],
-                     axis=-3)
-    # rho_A and rho_B are partial traces of rho_AB, rho_C one of rho_AC
-    ab, ac = pairs[..., 0, :, :], pairs[..., 1, :, :]
-    singles = np.stack([
-        ab[..., 0::2, 0::2] + ab[..., 1::2, 1::2],
-        ab[..., :2, :2] + ab[..., 2:, 2:],
-        ac[..., :2, :2] + ac[..., 2:, 2:],
-    ], axis=-3)
+    # the (m, 8, 8) view that density returns, moved back onto its rows
+    rows = tristate.density(amps).transpose(1, 2, 0)
+    pairs = np.empty((3, 4, 4, len(amps)), dtype=np.complex128)
+    for k, pair in enumerate(("AB", "AC", "BC")):
+        linalg._partial_trace(rows, pair, out=pairs[k])
+    return pairs
+
+
+def _generic_chunk(amps, edges, ggm, neg):
+    """The spectra of the states ``amps`` (m, 3), written into rows.
+
+    ``edges`` (3, m) takes 4 det of the three single-qubit reductions,
+    ``ggm`` (m,) their smallest eigenvalue, and ``neg`` (3, m) the sum of
+    the negative eigenvalues of the partial transposes of rho_AB, rho_AC and
+    rho_BC.  Raises ``ValueError`` unless the pair reductions are X-shaped
+    and PSD.
+    """
+    pairs = _pair_traces(amps)
+    # rho_A and rho_B are partial traces of rho_AB, rho_C one of rho_AC: only
+    # their entries a, d (real) and b are summed
+    flat = pairs.reshape(48, -1)
+    re = flat.real
+    ad = re.take(_SINGLE_AD[0], axis=0)
+    ad += re.take(_SINGLE_AD[1], axis=0)
+    b = flat.take(_SINGLE_B[0], axis=0)
+    b += flat.take(_SINGLE_B[1], axis=0)
     # the edge 2[1 - Tr(rho_X^2)] as 4 det(rho_X): the same quantity for a
     # unit-trace 2x2 matrix, but free of the cancellation that 1 - Tr(rho^2)
     # suffers near product states; the smallest eigenvalue, the ggm
     # candidate, is likewise det over the largest, not 1 minus it
-    det, lo, _ = linalg._eig2(singles[..., 0, 0].real, singles[..., 1, 1].real,
-                              singles[..., 1, 0])
-    edges = _snap(4.0 * det)
-    check_triangles(edges)
+    det, lo, _ = linalg._eig2(ad[:3], ad[3:], b)
+    np.multiply(4.0, det, out=edges)
+    np.min(lo, axis=0, out=ggm)
     # every two-qubit reduction of a W-class state is an X state (Yu and
     # Eberly, QIC 7, 459 (2007)), so its spectrum, and that of its partial
     # transpose, comes in closed form from two 2x2 blocks.  The transpose
     # maps the X pattern onto itself, so it needs no check of its own.
-    off, w, wt = linalg._x_spectra(pairs)
+    off, w, wt = linalg._x_spectra(pairs.transpose(1, 2, 0, 3))
     linalg._check_x_psd(off, w)
-    neg = np.minimum(wt, 0.0)
-    n_ab, n_ac, n_bc = np.moveaxis(_snap(-2.0 * neg.sum(axis=-1)) ** 2, -1, 0)
-    pi_a = edges[..., 0] - n_ab - n_ac
-    pi_b = edges[..., 1] - n_ab - n_bc
-    pi_c = edges[..., 2] - n_ac - n_bc
-    values = np.stack([
-        _snap(lo.min(axis=-1)),
-        _snap((pi_a + pi_b + pi_c) / 3.0),
-        _snap(edges.min(axis=-1)),
-        heron_fill(edges),
-    ], axis=-1)
-    return values, edges
+    np.minimum(wt, 0.0).sum(axis=0, out=neg)
+
+
+def _generic_block(amps, block):
+    """The generic route on the (n, 3) ``amps``, into the rows of the (7, n)
+    ``block``: (ggm, three_pi, gmc, fill), then the triangle edges.
+
+    The spectra, and the X-structure and PSD test, go ``GENERIC_CHUNK``
+    states at a time; the triangle check and the measures are then rows over
+    all n states.
+    """
+    ggm, three_pi, gmc, fill = block[:4]
+    edges = block[4:]
+    neg = np.empty((3, len(amps)))
+    for i in range(0, len(amps), GENERIC_CHUNK):
+        j = i + GENERIC_CHUNK
+        _generic_chunk(amps[i:j], edges[:, i:j], ggm[i:j], neg[:, i:j])
+    check_triangles(_snap(edges).T)
+    # the negativities -2 (sum of the negative eigenvalues) of AB, AC and
+    # BC, squared
+    neg *= -2.0
+    n_ab, n_ac, n_bc = np.square(_snap(neg), out=neg)
+    pi_a = edges[0] - n_ab - n_ac
+    pi_b = edges[1] - n_ab - n_bc
+    pi_c = edges[2] - n_ac - n_bc
+    np.divide(pi_a + pi_b + pi_c, 3.0, out=three_pi)
+    np.min(edges, axis=0, out=gmc)
+    _snap(block[:3])
+    fill[:] = heron_fill(edges.T)
 
 
 def generic_measures(amps):
@@ -273,24 +318,24 @@ def generic_measures(amps):
 
     ``amps`` holds W-class amplitudes (a_e, a_mu, a_tau) on the rows of an
     (n, 3) array.  Returns (ggm, three_pi, gmc, fill) as an (n, 4) array and
-    the triangle edges as an (n, 3) array.  The states are processed in
-    batches of ``GENERIC_CHUNK``.  Per batch: one stack of density matrices;
-    its three two-qubit reductions, from which the single-qubit reductions
-    are summed; the spectra of the 2x2 single-qubit reductions, and of the
-    2x2 blocks of the two-qubit reductions and of their partial transposes,
-    all by the one closed form ``linalg._eig2``; one X-structure and PSD
-    test of the reductions from their blocks; and the negativities from the
-    blocks of the partial transposes.  No LAPACK solver is called.
+    the triangle edges as an (n, 3) array.  Every quantity is a contiguous
+    row over the states.  The states are processed in batches of
+    ``GENERIC_CHUNK``.  Per batch: the density matrices as entry rows; their
+    three two-qubit reductions, each as sums of diagonal slices, from whose
+    entries those of the single-qubit reductions are summed; the spectra of
+    the 2x2 single-qubit reductions, and of the 2x2 blocks of the two-qubit
+    reductions and of their partial transposes, all by the one closed form
+    ``linalg._eig2``; and one X-structure and PSD test of the reductions
+    from their blocks.  Then, over all rows: the triangle check, the
+    negativities from the blocks of the partial transposes, and the four
+    measures.  No LAPACK solver is called.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 3:
         raise ValueError(f"expected amplitudes of shape (n, 3), got {amps.shape}")
-    if not len(amps):
-        return np.empty((0, 4)), np.empty((0, 3))
-    parts = [_generic_chunk(amps[i:i + GENERIC_CHUNK])
-             for i in range(0, len(amps), GENERIC_CHUNK)]
-    return (np.concatenate([v for v, _ in parts]),
-            np.concatenate([e for _, e in parts]))
+    block = np.empty((7, len(amps)))
+    _generic_block(amps, block)
+    return block[:4].T, block[4:].T
 
 
 def _state_measures(state):
@@ -353,10 +398,9 @@ def table(params, initial, le, path="closed-form"):
         # 8 p_b p_c >= 0, and an edge exceeds 1 + 1e-10 only for a row that
         # sums to more than 1 + 5e-11, where |a|^2 of unitary evolution sums
         # to 1 within about 1e-15
-        values, edges = _closed_form(probs)
+        rows[4:8], rows[8:] = _closed_form(probs)
     else:
-        values, edges = (a.T for a in generic_measures(amps))
-    rows[4:8], rows[8:] = values, edges
+        _generic_block(amps, rows[4:])
     return rows.T.copy()
 
 

@@ -8,11 +8,11 @@ same configuration are byte-identical.
 ``format_number`` is the rule for one value.  The table writers apply it in
 numpy, 512 rows of 11 columns at a time (0.41 MB of working memory).
 Scaling |x| by one exact power of ten gives a 12-digit mantissa with a
-single rounding, which is the one ``%`` prints unless it lies within 1e-4
-of a half-integer.  Those values, zeros, non-finite values and decimal
-exponents outside [-11, 33], 0.03-0.04% of a preset sweep's values, go
-through ``format_number`` itself; the section above ``_fill_slots`` gives
-the argument in full.
+single rounding, which is the one ``%`` prints unless it is an exact
+half-integer.  Those values, zeros, non-finite values and decimal exponents
+outside [-11, 33], 0.016-0.031% of a preset sweep's values, go through
+``format_number`` itself; the section above ``_fill_slots`` gives the
+argument in full.
 """
 
 import json
@@ -293,18 +293,20 @@ def format_number(x):
 # Exactness.  A value x whose decimal exponent e = floor(log10|x|) lies in
 # [-11, 33] is scaled by one exact power of ten, s = |x|·10^(11-e): a
 # product for e <= 11, else a quotient, by one of 10^0…10^22, which are
-# exact doubles.  So s is the exact t = |x|·10^(11-e) after one rounding,
-# |s - t| <= half an ulp < 6.2e-5 on [1e11, 1e12).  Where s is more than
-# 1e-4 from a half-integer, t is more than 3.8e-5 from it, and rint(s) =
+# exact doubles.  So s is the exact t = |x|·10^(11-e) after one correct
+# rounding.  Every half-integer on [1e11, 1e12) is a double, and correct
+# rounding is monotone, so s and t lie on the same side of each
+# half-integer unless s is one.  Where s is not a half-integer, rint(s) =
 # rint(t) is the 12-digit mantissa that ``%`` prints (CPython rounds the
 # exact binary value correctly, after D. M. Gay, 1990).  Everything else
-# goes to ``format_number``: s within 1e-4 of a half-integer (exact ties
-# included), zeros, infinities, NaNs, exponents outside [-11, 33], and s
-# outside [1e11, 1e12) or rounding up to 1e12 (near powers of ten, where
-# log10 can misjudge e; an s that rounds up to 1e11 from below prints as
-# 10^e at either exponent).  Counted over the CSV and slopes, that is
-# 0.03-0.04% of the values of the preset sweeps and 713 of the 3.2M values
-# (0.022%) of a 200k-point electron sweep; a 1e-3 margin sent 0.19-0.21%.
+# goes to ``format_number``: exact ties, zeros, infinities, NaNs, exponents
+# outside [-11, 33], and s outside [1e11, 1e12) or rounding up to 1e12
+# (near powers of ten, where log10 can misjudge e; an s that rounds up to
+# 1e11 from below prints as 10^e at either exponent).  Counted over the CSV
+# and slopes, that is 0.016-0.031% of the values of the preset sweeps, and
+# 352 and 188 of the 3.2M values (0.011% and 0.006%) of 200k-point electron
+# and muon sweeps; a margin of 1e-4 about each half-integer sent 713 and
+# 556 of them, one of 1e-3 0.19-0.21% of the values.
 #
 # Layout.  Each value gets a 24-byte slot of three little-endian words:
 # bytes 0-5 hold the sign and the "0." to "0.000" prefix, bytes 6-17 the 12
@@ -416,7 +418,7 @@ def _mantissas(x):
         m = np.rint(s)
         np.subtract(s, m, out=t)
         np.abs(t, out=t)
-        ok = t <= 0.4999
+        ok = t < 0.5
         ok &= s >= 1e11
         ok &= m < 1e12
     fallback = np.flatnonzero(~ok)

@@ -48,6 +48,11 @@ def density(state):
     ``state`` is a TripartiteState, giving one 8x8 matrix, or an array of
     amplitudes (a_e, a_mu, a_tau) on its last axis, giving a (..., 8, 8)
     stack.  Every row must be normalized to within ``NORM_TOL``.
+
+    The matrices are built as entry rows (8, 8, ...), one contiguous row
+    v_i conj(v_j) per entry, and returned as a (..., 8, 8) view of them:
+    ``np.moveaxis(rho, (-2, -1), (0, 1))`` gives the rows back without a
+    copy.
     """
     if isinstance(state, TripartiteState):
         state = state.amplitudes()
@@ -56,12 +61,13 @@ def density(state):
         raise ValueError(
             f"expected amplitudes on a last axis of length 3, got shape {amps.shape}"
         )
-    norm = np.sum(np.abs(amps) ** 2, axis=-1)
+    rows = np.moveaxis(amps, -1, 0)
+    norm = np.sum(np.abs(rows) ** 2, axis=0)
     bad = ~(np.abs(norm - 1.0) <= NORM_TOL)
     if np.any(bad):
         raise ValueError(
             f"state norm^2 is {norm[bad].flat[0]!r}, expected 1 within {NORM_TOL}"
         )
-    v = np.zeros(amps.shape[:-1] + (8,), dtype=np.complex128)
-    v[..., list(OCCUPATION_INDICES)] = amps
-    return v[..., :, None] * v[..., None, :].conj()
+    v = np.zeros((8,) + amps.shape[:-1], dtype=np.complex128)
+    v[list(OCCUPATION_INDICES)] = rows
+    return np.moveaxis(v[:, None] * v[None, :].conj(), (0, 1), (-2, -1))

@@ -129,6 +129,59 @@ class TestPartialTrace:
         assert np.allclose(linalg.partial_trace(m, "A"), expected, atol=1e-13)
 
 
+def einsum_partial_trace(rows, keep):
+    """Reference partial trace of entry rows (8, 8, ...) by ``einsum``."""
+    kept = ["ABC".index(q) for q in keep]
+    ket = "abc"
+    bra = "".join(q.upper() if i in kept else q for i, q in enumerate(ket))
+    out = "".join(ket[i] for i in kept) + "".join(bra[i] for i in kept)
+    t = np.einsum(f"{ket}{bra}...->{out}...", rows.reshape((2,) * 6 + rows.shape[2:]))
+    d = 2 ** len(kept)
+    return t.reshape((d, d) + rows.shape[2:])
+
+
+class TestPartialTraceRows:
+    """``_partial_trace`` on entry rows, states on the last axis."""
+
+    @staticmethod
+    def hermitian_rows(rng, n):
+        return np.ascontiguousarray(entry_rows(np.stack([random_hermitian(rng, 8)
+                                                         for _ in range(n)])))
+
+    @pytest.mark.parametrize("keep", ["AB", "AC", "BC"])
+    def test_pairs_equal_einsum_bit_for_bit(self, rng, keep):
+        rows = self.hermitian_rows(rng, 40)
+        red = linalg._partial_trace(rows, keep)
+        assert red.shape == (4, 4, 40)
+        assert np.array_equal(red, einsum_partial_trace(rows, keep))
+
+    @pytest.mark.parametrize("keep", ["A", "B", "C"])
+    def test_single_qubits_match_einsum(self, rng, keep):
+        rows = self.hermitian_rows(rng, 40)
+        red = linalg._partial_trace(rows, keep)
+        assert red.shape == (2, 2, 40)
+        assert np.allclose(red, einsum_partial_trace(rows, keep), rtol=0.0, atol=1e-14)
+
+    def test_writes_into_a_block_row(self, rng):
+        rows = self.hermitian_rows(rng, 7)
+        block = np.zeros((3, 4, 4, 7), dtype=np.complex128)
+        out = block[1]
+        assert linalg._partial_trace(rows, "AC", out=out) is out
+        assert np.array_equal(block[1], einsum_partial_trace(rows, "AC"))
+        assert not block[0].any() and not block[2].any()
+
+    @pytest.mark.parametrize("keep", ["A", "BC"])
+    def test_public_function_moves_the_axes(self, rng, keep):
+        stack = np.stack([random_hermitian(rng, 8) for _ in range(5)])
+        red = linalg._partial_trace(np.ascontiguousarray(entry_rows(stack)), keep)
+        assert np.array_equal(linalg.partial_trace(stack, keep), np.moveaxis(red, (0, 1), (-2, -1)))
+
+    def test_density_rows_come_back_without_a_copy(self):
+        amps = np.array([[1.0, 0.0, 0.0], [0.6, 0.8j, 0.0], [1 / np.sqrt(3)] * 3])
+        rows = entry_rows(density(amps))
+        assert rows.shape == (8, 8, 3) and rows.flags.c_contiguous
+
+
 class TestPartialTranspose:
     def test_diagonal_invariant(self):
         d = np.diag([0.1, 0.2, 0.3, 0.4])
@@ -253,8 +306,24 @@ def x_from_blocks(a, b):
     return m
 
 
+def entry_rows(m):
+    """The entry rows (d, d, ...) of one (d, d) matrix or a (..., d, d) stack.
+
+    The row-layout helpers take and return entry rows, so the matrix axes go
+    to the front, as a view.
+    """
+    return np.moveaxis(np.asarray(m), (-2, -1), (0, 1))
+
+
+def x_spectra(m):
+    """``linalg._x_spectra`` of one (4, 4) matrix or a (..., 4, 4) stack, with
+    the spectra axis moved back to the end: off (...), w and wt (..., 4)."""
+    off, w, wt = linalg._x_spectra(entry_rows(m))
+    return off, np.moveaxis(w, 0, -1), np.moveaxis(wt, 0, -1)
+
+
 def check_x_psd(m):
-    linalg._check_x_psd(*linalg._x_spectra(m)[:2])
+    linalg._check_x_psd(*linalg._x_spectra(entry_rows(m))[:2])
 
 
 def x_spectra_mpmath(m):
@@ -280,7 +349,7 @@ class TestXSpectra:
     def assert_matches(m, eigenvalues=np.linalg.eigvalsh):
         """``_x_spectra`` of ``m`` and of both partial transposes within 1e-15
         of the ``eigenvalues`` reference."""
-        off, w, wt = linalg._x_spectra(m)
+        off, w, wt = x_spectra(m)
         assert np.max(off) == 0.0
         assert np.max(np.abs(np.sort(w, axis=-1) - eigenvalues(m))) <= 1e-15
         for on in (0, 1):
@@ -288,7 +357,7 @@ class TestXSpectra:
             assert np.max(np.abs(np.sort(wt, axis=-1) - eigenvalues(pt))) <= 1e-15
         # transposing the first qubit moves the very entries the transposed
         # blocks read, so both ways round the spectra agree bit for bit
-        _, w_pt, wt_pt = linalg._x_spectra(linalg.partial_transpose(m))
+        _, w_pt, wt_pt = x_spectra(linalg.partial_transpose(m))
         assert np.array_equal(w_pt, wt) and np.array_equal(wt_pt, w)
 
     @settings(max_examples=100, deadline=None)
@@ -312,7 +381,7 @@ class TestXSpectra:
 
     def test_zero_blocks_give_exact_zeros(self):
         # basis-state reductions have a zero block: 0/0 would be NaN
-        _, w, wt = linalg._x_spectra(np.stack([np.zeros((4, 4)), np.diag([1.0, 0.0, 0.0, 0.0])]))
+        _, w, wt = x_spectra(np.stack([np.zeros((4, 4)), np.diag([1.0, 0.0, 0.0, 0.0])]))
         assert np.array_equal(w, [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         assert np.array_equal(wt, w)
 
@@ -324,7 +393,7 @@ class TestXSpectra:
         m = np.stack([linalg.partial_trace(density(W), "AB")] * 3)
         # one entry without its mirror, so each position is seen on its own
         m[1, i, j] = factor * linalg.HERMITICITY_TOL
-        assert linalg._x_spectra(m)[0][1] == factor * linalg.HERMITICITY_TOL
+        assert x_spectra(m)[0][1] == factor * linalg.HERMITICITY_TOL
         if passes:
             check_x_psd(m)
         else:
@@ -360,7 +429,7 @@ class TestXSpectra:
 
     def test_rejects_a_block_with_no_positive_eigenvalue(self):
         m = np.diag([-0.5, 0.5, 0.5, -0.5])
-        assert np.array_equal(linalg._x_spectra(m)[1], [-0.5, -0.5, 0.5, 0.5])
+        assert np.array_equal(x_spectra(m)[1], [-0.5, -0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match=r"min eigenvalue bound -5\.000e-01"):
             check_x_psd(m)
 
@@ -369,7 +438,7 @@ class TestXSpectra:
         # either sign, and det over it would be any number, even a positive one
         for _ in range(200):
             m = x_with_spectrum(rng, [-1.0, 0.0, 0.5, 0.5])
-            assert linalg._x_spectra(m)[1][0] == pytest.approx(-1.0, abs=1e-15)
+            assert x_spectra(m)[1][0] == pytest.approx(-1.0, abs=1e-15)
             with pytest.raises(ValueError, match="PSD"):
                 check_x_psd(m)
 

@@ -20,7 +20,7 @@ from trinu import (
 )
 from trinu import linalg, measures
 from trinu.measures import MEASURE_NAMES, check_triangles, heron_fill, measures_from_probs
-from trinu.oscillation import _clip_probability_rows
+from trinu.oscillation import _clip_probability_rows, amplitude_array
 
 from conftest import w_class_states
 
@@ -246,6 +246,46 @@ class TestGenericMeasures:
             assert tuple(row) == (ggm(state), three_pi(state), gmc(state),
                                   concurrence_fill(state))
             assert tuple(tri) == generic_edges(state)
+
+    # stacks of one, around the 256-state chunk boundary and of several chunks
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1001])
+    def test_rows_do_not_depend_on_batching(self, rng, params, n):
+        """A stack equals its row-by-row evaluation bit for bit, L/E = 0 rows too."""
+        le = rng.uniform(0.0, 2000.0, n)
+        le[::7] = 0.0
+        amps = amplitude_array(params, "mu", le)
+        got = np.hstack(measures.generic_measures(amps))
+        one_by_one = np.vstack([np.hstack(measures.generic_measures(a[None])) for a in amps])
+        assert np.array_equal(got.view(np.uint64), one_by_one.view(np.uint64))
+
+    def test_table_rows_equal_reports(self, params):
+        le = np.array([0.0, 262.2, 513.4, 1e4])
+        rows = measures.table(params, "mu", le, path="generic")
+        for row, x in zip(rows, le):
+            assert row.tolist() == list(report(params, "mu", x, path="generic").values())
+
+    # one entry off the X pattern, in each pair reduction, in one state of
+    # the second chunk: at the tolerance it passes, at twice it is named
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 0), (3, 2)])
+    @pytest.mark.parametrize("pair", [0, 1, 2])
+    @pytest.mark.parametrize("factor,passes", [(1.0, True), (2.0, False)])
+    def test_route_rejects_a_planted_off_x_entry(self, monkeypatch, params, pair, entry,
+                                                 factor, passes):
+        amps = amplitude_array(params, "mu", np.geomspace(10.0, 1600.0, 300))
+        traces = measures._pair_traces
+
+        def planted(chunk):
+            pairs = traces(chunk)
+            if len(chunk) < measures.GENERIC_CHUNK:
+                pairs[(pair, *entry, 5)] = factor * linalg.HERMITICITY_TOL
+            return pairs
+
+        monkeypatch.setattr(measures, "_pair_traces", planted)
+        if passes:
+            measures.generic_measures(amps)
+        else:
+            with pytest.raises(ValueError, match="not an X state: off-X entry 2.000e-12"):
+                measures.generic_measures(amps)
 
     def test_rejects_unnormalized_row(self):
         amps = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])

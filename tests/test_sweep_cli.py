@@ -267,16 +267,39 @@ class TestWriters:
 
     def test_fallback_margin_neighbours_match_reference(self):
         # mantissas s = |x|·10^(11-e) 1e-4 from a half-integer, and one ulp of
-        # s either side: at e = 11, where x is s, some fall inside the margin
-        # and take ``format_number``, the others the tables; then e = 0, -3, 20
+        # s either side: at e = 11, where x is s, those that round onto the
+        # half-integer (above 2^39 an ulp is 1.2e-4) are exact ties and take
+        # ``format_number``, the others the tables; then e = 0, -3, 20
         rng = np.random.default_rng(26)
         half = rng.integers(10 ** 11, 10 ** 12 - 1, size=100) + 0.5
         s = nearest((half[:, None] + [-1e-4, 1e-4]).ravel(), 1)
-        assert 0 < sweep._mantissas(s)[2].size < s.size
+        ties = np.flatnonzero(s - np.floor(s) == 0.5)
+        assert 0 < ties.size < s.size
+        assert np.array_equal(sweep._mantissas(s)[2], ties)
         values = np.concatenate([s, s * 1e-11, s * 1e-14, s * 1e9])
         values = np.concatenate([values, -values])
         table = np.resize(values, (-(-len(values) // len(CSV_COLUMNS)), len(CSV_COLUMNS)))
         assert_same_text(written(write_csv, table), reference_text(CSV_COLUMNS, table))
+
+    def test_near_ties_take_the_tables_and_equal_format_number(self):
+        # s = x on [1e11, 5e11), where an ulp is at most 6.1e-5: one ulp and
+        # a few offsets from a half-integer, within 1e-4 of it but not on it.
+        # The tables write each value as ``format_number`` does; the
+        # half-integers themselves, exact ties, take ``format_number``
+        rng = np.random.default_rng(27)
+        half = rng.integers(10 ** 11, 5 * 10 ** 11, size=100) + 0.5
+        offsets = [-9e-5, -5e-5, -3.1e-5, 3.1e-5, 5e-5, 9e-5]
+        near = np.concatenate([nearest(half, 1)[half.size:],
+                               (half[:, None] + offsets).ravel()])
+        distance = np.abs(near - np.floor(near) - 0.5)
+        assert distance.min() > 0.0 and distance.max() <= 1e-4
+        assert sweep._mantissas(near)[2].size == 0
+        assert np.array_equal(sweep._mantissas(half)[2], np.arange(half.size))
+        values = np.concatenate([near, -near])
+        table = np.resize(values, (-(-len(values) // len(CSV_COLUMNS)), len(CSV_COLUMNS)))
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(format_number(v) for v in row) for row in table.tolist()]
+        assert_same_text(written(write_csv, table), "\n".join(lines) + "\n")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES)),
