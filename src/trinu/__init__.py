@@ -20,8 +20,6 @@ from .oscillation import (
     OscillationParams,
     amplitudes,
     build_pmns,
-    probabilities,
-    probability_matrix,
 )
 from .sweep import SweepConfig, find_extremum, run_sweep, triangle_record
 from .tristate import TripartiteState, density, make_state
@@ -41,8 +39,6 @@ __all__ = [
     "gmc",
     "make_state",
     "negativity",
-    "probabilities",
-    "probability_matrix",
     "report",
     "run_sweep",
     "three_pi",

@@ -1,6 +1,6 @@
 """Command-line front end: sweep, extremum and triangle subcommands.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 failed cross-check.
 """
 
 import argparse
@@ -20,6 +20,10 @@ PRESETS = {
     "electron": "electron_linear.json",
     "muon": "muon_log.json",
 }
+
+#: Largest route discrepancy, NaN never, that ``sweep --path both`` passes; past
+#: it, the run writes its outputs and exits 4.
+CROSSCHECK_TOL = 1e-10
 
 
 def load_preset(name):
@@ -158,7 +162,15 @@ def _cmd_sweep(args):
     stage_s = summary["stage_s"]
     print("stage times (s): " + ", ".join(f"{name} {t:.3g}" for name, t in stage_s.items()),
           file=sys.stderr)
-    return 0
+    columns = summary.get("path_discrepancy_by_column", {})
+    failed = [(name, d) for name, d in columns.items() if not d["max"] <= CROSSCHECK_TOL]
+    if not failed:
+        return 0
+    # the worst column, a NaN above every number
+    name, d = max(failed, key=lambda c: (math.isnan(c[1]["max"]), c[1]["max"]))
+    print(f"cross-check failed: {name} differs between the routes by {d['max']:.3e}"
+          f" at L/E {d['le']:.6g} km/GeV, beyond {CROSSCHECK_TOL:g}", file=sys.stderr)
+    return 4
 
 
 def _cmd_extremum(args):

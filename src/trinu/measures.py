@@ -21,8 +21,6 @@ which N_{A(BC)} equals the one-to-other concurrence sqrt(2[1 - Tr(rho_A^2)])
 on pure states, and it reproduces the closed-form three-pi expression.
 """
 
-import functools
-
 import numpy as np
 
 from . import linalg, tristate
@@ -78,26 +76,10 @@ def check_triangles(edges):
 
 # ---------------------------------------------------------------------------
 # closed-form route: everything as a function of the probability triple.
-# ``_closed_form`` works on component rows (3, ...); the public functions
-# broadcast over a trailing axis of length 3.
+# ``_closed_form`` works on component rows (3, ...); the public functions take
+# (..., 3) as an (n, 3) stack, so a lone triple equals its row in any stack bit
+# for bit (numpy's scalar power rounds the fourth root differently).
 # ---------------------------------------------------------------------------
-
-def _one_row_as_stack(fn):
-    """Evaluate a single (3,) input as the one row of a (1, 3) stack.
-
-    numpy's scalar power rounds the fourth root differently from its array
-    loop, so a lone triple would otherwise differ in the last bit from the
-    same triple inside a stack.  A tuple result is unstacked item by item.
-    """
-    @functools.wraps(fn)
-    def wrapper(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            return fn(x)
-        out = fn(x[None])
-        return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
-    return wrapper
-
 
 def _closed_form(p):
     """(ggm, three_pi, gmc, fill) as (4, ...) rows and the triangle edges as (3, ...) rows.
@@ -166,17 +148,16 @@ def _closed_form(p):
     return values, edges
 
 
-@_one_row_as_stack
 def measures_from_probs(p):
-    """(ggm, three_pi, gmc, fill) stacked on the last axis, shape (..., 4)."""
-    return np.moveaxis(_closed_form(np.moveaxis(p, -1, 0))[0], 0, -1)
+    """(ggm, three_pi, gmc, fill) of probabilities (..., 3), shape (..., 4)."""
+    p = np.asarray(p, dtype=np.float64)
+    return _closed_form(p.reshape(-1, 3).T)[0].T.reshape(p.shape[:-1] + (4,))
 
 
-@_one_row_as_stack
 def heron_fill(edges):
     """Concurrence fill from triangle edges: [16/3 Q prod(Q - edge)]^(1/4).
 
-    ``edges`` has shape (..., 3); the result has shape (...).
+    ``edges`` has shape (..., 3); the result has shape (...), a float for one triangle.
 
     Evaluated through Kahan's rearrangement of Heron's formula (edges sorted,
     16 A^2 = (a+(b+c)) (c-(a-b)) (c+(a-b)) (a+(b-c)) with a >= b >= c), which
@@ -185,15 +166,15 @@ def heron_fill(edges):
     and slightly inequality-violating triangles give 0 instead of a domain
     error.
     """
-    s = np.sort(np.asarray(edges, dtype=np.float64), axis=-1)
-    c, b, a = s[..., 0], s[..., 1], s[..., 2]
+    edges = np.asarray(edges, dtype=np.float64)
+    c, b, a = np.sort(edges.reshape(-1, 3), axis=-1).T
     prod = (
         (a + (b + c))
         * np.maximum(c - (a - b), 0.0)
         * (c + (a - b))
         * (a + (b - c))
     )
-    return _snap((np.maximum(prod, 0.0) / 3.0) ** 0.25)
+    return _snap((np.maximum(prod, 0.0) / 3.0) ** 0.25).reshape(edges.shape[:-1])[()]
 
 
 # ---------------------------------------------------------------------------

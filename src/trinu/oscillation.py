@@ -90,27 +90,15 @@ class OscillationParams:
         return cls.from_dict(data)
 
 
-def checked_probabilities(p):
-    """Validate probabilities (..., 3) and clamp them to [0, 1].
+def _clip_probability_rows(rows):
+    """Validate component rows (p_e, p_mu, p_tau), shape (3, ...), and clamp them to [0, 1].
 
     Every entry must lie in [0, 1] within 1e-12 and every row must sum to 1
-    within 1e-10; otherwise ``ValueError`` names the first offending value.
-    NaN fails both checks.
-    """
-    p = np.array(p, dtype=np.float64)
-    _clip_probability_rows(np.moveaxis(p, -1, 0))
-    return p
-
-
-def _clip_probability_rows(rows):
-    """``checked_probabilities`` in place, on component rows (p_e, p_mu, p_tau).
-
-    ``rows`` has shape (3, ...).  Each predicate is tested by whole-array
-    reductions, and the offending value is looked for only when one fails,
-    in the order of the (..., 3) layout.  Rounding is monotone, so the
-    smallest and the largest row sum decide |sum - 1| <= 1e-10 for all
-    rows; ``min`` and ``max`` return NaN if any value is NaN, and NaN fails
-    every comparison.
+    within 1e-10, or ``ValueError`` names the first offending value in the
+    (..., 3) layout, looked for only once a whole-array ``min`` or ``max``
+    fails.  Rounding is monotone, so the smallest and the largest row sum
+    decide for all rows, and NaN, which ``min`` and ``max`` return if any
+    value is NaN, fails every comparison.
     """
     if rows.size and not (rows.min() >= -1e-12 and rows.max() <= 1.0 + 1e-12):
         p = np.moveaxis(rows, 0, -1)
@@ -195,18 +183,3 @@ def probability_array(params, initial, le):
     amps = amplitude_array(params, initial, le)
     return amps.real ** 2 + amps.imag ** 2
 
-
-def probabilities(params, initial, le):
-    """(p_e, p_mu, p_tau) at a single L/E point (km/GeV), clamped to [0, 1].
-
-    Evaluated as a length-1 grid, so it equals the matching sweep row bit
-    for bit.
-    """
-    p = probability_array(params, initial, np.array([float(le)]))
-    return tuple(checked_probabilities(p)[0].tolist())
-
-
-def probability_matrix(params, le):
-    """3x3 matrix P[a, b] of transition probabilities at one L/E point."""
-    le = np.array([float(le)])
-    return np.concatenate([probability_array(params, flavor, le) for flavor in FLAVORS])

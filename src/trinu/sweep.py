@@ -181,7 +181,8 @@ class _SummaryFold:
             diff = np.abs(rows - generic)
             worst = diff.argmax(axis=0)
             peak = diff[worst, np.arange(diff.shape[1])]
-            better = peak > self.discrepancy
+            # a NaN counts as worse than any number, and the first one stays
+            better = ~(peak <= self.discrepancy) & ~np.isnan(self.discrepancy)
             self.discrepancy = np.where(better, peak, self.discrepancy)
             self.discrepancy_le = np.where(better, rows[worst, 0], self.discrepancy_le)
         self.tail = window[-2:]

@@ -42,21 +42,18 @@ def make_state(amps):
     return TripartiteState(a_e, a_mu, a_tau)
 
 
-def density(state):
-    """Density matrix |psi><psi| of W-class states.
+def density(amps):
+    """Density matrices |psi><psi| of W-class states.
 
-    ``state`` is a TripartiteState, giving one 8x8 matrix, or an array of
-    amplitudes (a_e, a_mu, a_tau) on its last axis, giving a (..., 8, 8)
-    stack.  Every row must be normalized to within ``NORM_TOL``.
+    ``amps`` holds amplitudes (a_e, a_mu, a_tau) on its last axis and gives
+    a (..., 8, 8) stack.  Every row must be normalized to within ``NORM_TOL``.
 
     The matrices are built as entry rows (8, 8, ...), one contiguous row
     v_i conj(v_j) per entry, and returned as a (..., 8, 8) view of them:
     ``np.moveaxis(rho, (-2, -1), (0, 1))`` gives the rows back without a
     copy.
     """
-    if isinstance(state, TripartiteState):
-        state = state.amplitudes()
-    amps = np.asarray(state, dtype=np.complex128)
+    amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape[-1:] != (3,):
         raise ValueError(
             f"expected amplitudes on a last axis of length 3, got shape {amps.shape}"

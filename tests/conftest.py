@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from trinu import OscillationParams, TripartiteState
+from trinu import OscillationParams, TripartiteState, report
+from trinu.oscillation import FLAVORS
 
 # Property tests draw the same examples on every run and read or write no
 # example database, so the result does not depend on local state.
@@ -24,6 +25,18 @@ def rng():
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a + a.conj().T
+
+
+def probs_at(params, initial, le):
+    """(p_e, p_mu, p_tau) at one L/E point (km/GeV): the checked probability
+    columns of the measure-table row that ``report`` returns."""
+    rep = report(params, initial, le)
+    return rep["p_e"], rep["p_mu"], rep["p_tau"]
+
+
+def probability_matrix(params, le):
+    """3x3 matrix P[a, b] of transition probabilities at one L/E point."""
+    return np.array([probs_at(params, flavor, le) for flavor in FLAVORS])
 
 
 @st.composite

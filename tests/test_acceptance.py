@@ -22,8 +22,6 @@ from trinu import (
     gmc,
     make_state,
     negativity,
-    probabilities,
-    probability_matrix,
     report,
     run_sweep,
     three_pi,
@@ -33,6 +31,8 @@ from trinu import linalg
 from trinu.measures import MEASURE_NAMES, measures_from_probs
 from trinu.oscillation import FLAVORS
 from trinu.sweep import csv_sink
+
+from conftest import probability_matrix, probs_at
 
 PARAMS = OscillationParams()
 
@@ -104,7 +104,7 @@ def test_criterion_4_muon_triangles():
     (10.31, (0.41, 0.41, 0.18)),
 ])
 def test_criterion_5_electron_triangle_probabilities(le_km_mev, expected):
-    p = probabilities(PARAMS, "e", le_km_mev * 1000.0)
+    p = probs_at(PARAMS, "e", le_km_mev * 1000.0)
     ok = np.max(np.abs(np.array(p) - expected)) <= 0.01
     check(f"5 electron probabilities at {le_km_mev} km/MeV within 0.01", ok)
 
@@ -146,14 +146,14 @@ def test_criterion_7_physics_invariants():
         ok = ok and np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-10
         ok = ok and np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-10
         for flavor in FLAVORS:
-            p = probabilities(PARAMS, flavor, le)
+            p = probs_at(PARAMS, flavor, le)
             a = amplitudes(PARAMS, flavor, le)
             sq = [abs(x) ** 2 for x in a]
             ok = ok and np.max(np.abs(np.array(p) - sq)) <= 1e-12
     for _ in range(200):
         probs = rng.dirichlet(np.ones(3))
         state = make_state(tuple(np.sqrt(probs)))
-        rho = density(state)
+        rho = density(state.amplitudes())
         n_sq = {pair: negativity(linalg.partial_trace(rho, pair)) ** 2
                 for pair in ("AB", "AC", "BC")}
         edges = 4.0 * probs * (1.0 - probs)

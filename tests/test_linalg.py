@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinu import linalg, make_state, density, measures
+from trinu import linalg, density, measures
 
 from conftest import random_hermitian, w_class_states
 
-W = make_state((1 / np.sqrt(3),) * 3)
+W = (1 / np.sqrt(3),) * 3
 
 
 class TestHermitianEigenvalues:
@@ -65,7 +65,7 @@ class TestHermitianEigenvalues:
 
 class TestPartialTrace:
     def test_product_state(self):
-        rho = density(make_state((1.0, 0.0, 0.0)))
+        rho = density((1.0, 0.0, 0.0))
         assert np.allclose(linalg.partial_trace(rho, "A"), np.diag([0.0, 1.0]))
 
     def test_w_state(self):
@@ -76,7 +76,7 @@ class TestPartialTrace:
 
     def test_unbalanced_state(self):
         amps = np.sqrt([0.77, 0.115, 0.115])
-        rho = density(make_state(tuple(amps)))
+        rho = density(amps)
         assert np.allclose(
             linalg.partial_trace(rho, "A"), np.diag([0.23, 0.77]), atol=1e-12
         )

@@ -36,6 +36,11 @@ def state_from_probs(p, phases=(0.0, 0.0, 0.0)):
     return make_state(amps)
 
 
+def bits(x):
+    """The bit patterns of the float64 values ``x``, for exact comparison."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 def generic_edges(state):
     """Concurrence-triangle edges of one state along the generic route."""
     return tuple(measures.generic_measures([state.amplitudes()])[1][0].tolist())
@@ -112,18 +117,19 @@ class TestNegativity:
         assert negativity(rho) == 0.0
 
     def test_w_reduction(self):
-        rho_ab = linalg.partial_trace(density(W), "AB")
+        rho_ab = linalg.partial_trace(density(W.amplitudes()), "AB")
         assert negativity(rho_ab) == pytest.approx(NEGATIVITY_W, abs=1e-12)
 
     def test_x_block_closed_form(self):
         pe, pm, pt = 0.77, 0.115, 0.115
-        rho_ab = linalg.partial_trace(density(state_from_probs((pe, pm, pt))), "AB")
+        state = state_from_probs((pe, pm, pt))
+        rho_ab = linalg.partial_trace(density(state.amplitudes()), "AB")
         expected = math.sqrt(pt ** 2 + 4 * pe * pm) - pt
         assert negativity(rho_ab) == pytest.approx(expected, abs=1e-12)
         assert negativity(rho_ab) == pytest.approx(0.491156, abs=1e-6)
 
     def test_transpose_side_does_not_matter(self):
-        rho_ab = linalg.partial_trace(density(W), "AB")
+        rho_ab = linalg.partial_trace(density(W.amplitudes()), "AB")
         w = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho_ab, 1))
         assert negativity(rho_ab) == pytest.approx(-2.0 * w[w < 0.0].sum(), abs=1e-12)
 
@@ -135,7 +141,8 @@ class TestNegativity:
     def test_stack_matches_one_by_one(self, rng):
         probs = rng.dirichlet(np.ones(3), size=6)
         rhos = np.stack([
-            linalg.partial_trace(density(state_from_probs(p, rng.uniform(0, 6, 3))), pair)
+            linalg.partial_trace(
+                density(state_from_probs(p, rng.uniform(0, 6, 3)).amplitudes()), pair)
             for p, pair in zip(probs, ("AB", "AC", "BC", "AB", "AC", "BC"))
         ]).reshape(2, 3, 4, 4)
         n = negativity(rhos)
@@ -190,20 +197,29 @@ class TestConcurrenceFill:
         assert val == pytest.approx(0.328648, abs=1e-6)
 
     def test_heron_stack_matches_one_by_one(self, rng):
+        # a lone (3,) triangle, an (n, 3) stack and a (2, m, 3) stack, bit for bit
         p = rng.dirichlet(np.ones(3), size=200)
         edges = 4.0 * p * (1.0 - p)
         stacked = heron_fill(edges)
         assert stacked.shape == (200,)
+        assert np.array_equal(bits(heron_fill(edges.reshape(2, 100, 3))),
+                              bits(stacked).reshape(2, 100))
         for row, value in zip(edges, stacked):
-            assert heron_fill(row) == value
+            one = heron_fill(row)
+            assert isinstance(one, float) and bits(one) == bits(value)
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PICKS))
     def test_closed_form_stack_matches_one_by_one(self, rng, name):
+        # a lone (3,) triple, an (n, 3) stack and a (2, m, 3) stack, bit for bit
         closed_form = CLOSED_FORM_PICKS[name]
         p = rng.dirichlet(np.ones(3), size=200)
         stacked = closed_form(p)
+        split = closed_form(p.reshape(2, 100, 3))
+        assert np.array_equal(bits(split), bits(stacked).reshape(split.shape))
         for row, value in zip(p, stacked):
-            assert np.array_equal(closed_form(row), value)
+            assert np.array_equal(bits(closed_form(row)), bits(value))
+        one = measures_from_probs(p[0])
+        assert isinstance(one, np.ndarray) and one.shape == (4,)
 
     def test_degenerate_triangle_clamps_to_zero(self):
         assert heron_fill(np.array([0.5, 0.3, 0.8])) == 0.0
@@ -472,7 +488,7 @@ class TestClosedFormInvariants:
     @settings(max_examples=200, deadline=None)
     @given(w_class_states())
     def test_monogamy_per_focus(self, state):
-        rho = density(state)
+        rho = density(state.amplitudes())
         n_sq = {
             pair: negativity(linalg.partial_trace(rho, pair)) ** 2
             for pair in ("AB", "AC", "BC")

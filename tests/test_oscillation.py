@@ -7,22 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinu import (
-    OscillationParams,
-    amplitudes,
-    build_pmns,
-    probabilities,
-    probability_matrix,
-)
+from trinu import OscillationParams, amplitudes, build_pmns
 from trinu import oscillation
-from trinu.oscillation import (
-    FLAVORS,
-    amplitude_array,
-    checked_probabilities,
-    probability_array,
-)
+from trinu.oscillation import FLAVORS, amplitude_array, probability_array
 
-from conftest import physics_params
+from conftest import physics_params, probability_matrix, probs_at
 
 #: A CP-violating parameter set, so the mixing matrix has imaginary parts.
 CP_PARAMS = OscillationParams(delta_cp=-90.0)
@@ -53,6 +42,14 @@ def interference_sum(params, initial, le):
     return out
 
 
+def checked_probabilities(p):
+    """The probability check, ``_clip_probability_rows``, on a copy of
+    probabilities (..., 3); returns the clamped copy in that layout."""
+    p = np.array(p, dtype=np.float64)
+    oscillation._clip_probability_rows(np.moveaxis(p, -1, 0))
+    return p
+
+
 class TestParams:
     def test_defaults_are_consistent(self):
         p = OscillationParams()
@@ -74,7 +71,7 @@ class TestParams:
     def test_accepts_inverted_ordering(self):
         p = OscillationParams(dm2_21=7.5e-5, dm2_31=-2.382e-3, dm2_32=-2.457e-3)
         assert p.dm2_31 < 0.0
-        assert sum(probabilities(p, "mu", 500.0)) == pytest.approx(1.0)
+        assert sum(probs_at(p, "mu", 500.0)) == pytest.approx(1.0)
 
     def test_inconsistent_splittings_warn(self):
         with pytest.warns(UserWarning, match="inconsistent"):
@@ -173,25 +170,25 @@ class TestProbabilities:
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_delta_term_only_at_zero(self, p, flavor):
         basis = tuple(1.0 if f == flavor else 0.0 for f in FLAVORS)
-        assert probabilities(p, flavor, 0.0) == basis
+        assert probs_at(p, flavor, 0.0) == basis
         assert amplitudes(p, flavor, 0.0) == basis
 
     def test_muon_points(self, params):
-        p = probabilities(params, "mu", 262.2)
+        p = probs_at(params, "mu", 262.2)
         assert np.allclose(p, (0.024, 0.488, 0.488), atol=0.005)
-        p = probabilities(params, "mu", 479.9)
+        p = probs_at(params, "mu", 479.9)
         assert np.allclose(p, (0.041, 0.022, 0.937), atol=0.005)
 
     @settings(max_examples=200, deadline=None)
     @given(physics_params(), st.sampled_from(FLAVORS), st.floats(0.0, 2e4))
     def test_matches_squared_amplitudes(self, p, flavor, le):
-        probs = probabilities(p, flavor, le)
+        probs = probs_at(p, flavor, le)
         assert np.allclose(probs, interference_sum(p, flavor, le), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("le", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_le(self, params, le):
         with pytest.raises(ValueError, match="L/E must be finite and non-negative"):
-            probabilities(params, "e", le)
+            probs_at(params, "e", le)
         with pytest.raises(ValueError, match="L/E"):
             probability_array(params, "e", np.array([1.0, le]))
 
@@ -322,7 +319,7 @@ class TestParticle:
 
     def test_mu_to_e_is_the_antineutrino_probability(self):
         params = OscillationParams(delta_cp=-90.0)
-        p_mu_e = probabilities(params, "mu", 500.0)[0]
+        p_mu_e = probs_at(params, "mu", 500.0)[0]
         expected = pdg_probability(params, 1, 0, 500.0, antineutrino=True)
         assert expected == pytest.approx(0.0270942, abs=5e-8)
         assert p_mu_e == pytest.approx(expected, abs=1e-12)
@@ -331,7 +328,7 @@ class TestParticle:
         assert neutrino == pytest.approx(0.0522735, abs=5e-8)
 
     def test_opposite_phase_gives_the_neutrino_value(self):
-        p_mu_e = probabilities(OscillationParams(delta_cp=90.0), "mu", 500.0)[0]
+        p_mu_e = probs_at(OscillationParams(delta_cp=90.0), "mu", 500.0)[0]
         assert p_mu_e == pytest.approx(0.0522735, abs=5e-8)
         neutrino = pdg_probability(OscillationParams(delta_cp=-90.0), 1, 0, 500.0,
                                    antineutrino=False)

@@ -17,7 +17,6 @@ from trinu import (
     SweepConfig,
     find_extremum,
     measures,
-    probabilities,
     report,
     run_sweep,
     triangle_record,
@@ -35,6 +34,8 @@ from trinu.sweep import (
     write_csv,
     write_slopes,
 )
+
+from conftest import probs_at
 
 
 def small_config(**kw):
@@ -402,7 +403,7 @@ class TestRunSweep:
         cfg = load_preset(preset)
         cfg.path = "both"
         _, emitted = swept(cfg)
-        probs = np.array([probabilities(params, cfg.initial, x)
+        probs = np.array([probs_at(params, cfg.initial, x)
                           for x in emitted[:, 0]])
         for table in (emitted, generic_table(params, cfg)):
             differ = np.any(probs.view(np.uint64) != table[:, 1:4].view(np.uint64), axis=1)
@@ -968,6 +969,24 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["sweep", "--points", "51", "--output", str(target)]) == 3
+
+    @pytest.mark.parametrize("error", [2e-10, math.nan], ids=["2e-10", "nan"])
+    def test_failed_cross_check_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        # an error planted in the generic fill: the full CSV is still written,
+        # and the last stderr line names the fill and its L/E
+        argv = ["sweep", "--points", "51", "--path", "both", "--output"]
+        assert main(argv + [str(tmp_path / "clean.csv")]) == 0
+        capsys.readouterr()
+        heron_fill = measures.heron_fill
+        monkeypatch.setattr(measures, "heron_fill", lambda edges: heron_fill(edges) + error)
+        assert main(argv + [str(tmp_path / "out.csv")]) == 4
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2].startswith("stage times (s): ")
+        fill = re.search(r"fill (\S+) at ([^,]+)", err[-3])
+        assert float(fill[1]) > 1e-10 or math.isnan(float(fill[1]))
+        assert err[-1] == (f"cross-check failed: fill differs between the routes by {fill[1]}"
+                           f" at L/E {fill[2]} km/GeV, beyond 1e-10")
 
     def test_extremum_json_output(self, tmp_path):
         out = tmp_path / "ext.json"
