@@ -1,5 +1,11 @@
 """Command-line front end: sweep, extremum and triangle subcommands.
 
+Each command takes only the options it reads.  ``sweep`` takes every
+``SweepConfig`` field.  ``extremum`` takes no grid flag (``--points``,
+``--scale``), since it scans its own grid, and its ``--path`` is
+``closed-form`` or ``generic``.  ``triangle`` takes neither the route nor the
+L/E range.  An option a command does not take exits with code 2.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 failed cross-check.
 """
 
@@ -48,12 +54,14 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _add_sweep_flags(parser, with_grid=True):
+def _add_sweep_flags(parser, paths=()):
     """The flags that set ``SweepConfig`` fields of the same name.
 
-    A query over a grid (``sweep``, ``extremum``) also takes the grid and the
-    route.  A single-point report (``triangle``) always uses the closed form,
-    so it takes neither.
+    A query over an L/E range (``sweep``, ``extremum``) passes the routes it
+    offers as ``paths`` and so also takes ``--path`` and the range bounds;
+    ``sweep`` adds the grid flags itself, since ``find_extremum`` scans its
+    own grid.  A single-point report (``triangle``) passes none: it always
+    uses the closed form.
     """
     parser.add_argument("--initial", choices=sweep.INITIALS, default=None,
                         help="initial flavor (default: e)")
@@ -61,13 +69,11 @@ def _add_sweep_flags(parser, with_grid=True):
                         help="unit of the L/E values (default: km/MeV)")
     parser.add_argument("--params", metavar="FILE", default=None, dest="params_file",
                         help="JSON file overriding the physics parameters")
-    if with_grid:
-        parser.add_argument("--path", choices=sweep.PATHS, default=None,
+    if paths:
+        parser.add_argument("--path", choices=paths, default=None,
                             help="evaluation route (default: closed-form)")
         parser.add_argument("--le-min", type=float, default=None)
         parser.add_argument("--le-max", type=float, default=None)
-        parser.add_argument("--points", type=int, default=None)
-        parser.add_argument("--scale", choices=sweep.SCALES, default=None)
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="output file (default: stdout)")
 
@@ -94,21 +100,23 @@ def build_parser():
     p_sweep.add_argument("--slopes", metavar="FILE",
                          help="also write finite-difference slopes of the "
                               "measures to FILE")
-    _add_sweep_flags(p_sweep)
+    _add_sweep_flags(p_sweep, sweep.PATHS)
+    p_sweep.add_argument("--points", type=int, default=None)
+    p_sweep.add_argument("--scale", choices=sweep.SCALES, default=None)
 
     p_ext = sub.add_parser("extremum", help="locate an extremum of one measure")
     p_ext.add_argument("--measure", choices=measures.MEASURE_NAMES, required=True)
     p_ext.add_argument("--kind", choices=("max", "min"), required=True)
     p_ext.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
                        required=True, help="search window, in --unit")
-    _add_sweep_flags(p_ext)
+    _add_sweep_flags(p_ext, measures.PATHS)
 
     p_tri = sub.add_parser("triangle", help="print a concurrence-triangle report")
     p_tri.add_argument("--le", type=float, required=True,
                        help="L/E value, in --unit")
     p_tri.add_argument("--json", action="store_true", dest="as_json",
                        help="emit a JSON record instead of the text block")
-    _add_sweep_flags(p_tri, with_grid=False)
+    _add_sweep_flags(p_tri)
 
     return parser
 

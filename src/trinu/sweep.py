@@ -73,8 +73,8 @@ class SweepConfig:
         for name in ("le_min", "le_max"):
             if not _is_number(getattr(self, name), numbers.Real):
                 raise ConfigError(name, f"must be a real number, got {getattr(self, name)!r}")
-        if not (math.isfinite(self.le_min) and math.isfinite(self.le_max)):
-            raise ConfigError("le_min", "sweep bounds must be finite")
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, f"sweep bounds must be finite, got {getattr(self, name)}")
         if not self.le_min < self.le_max:
             raise ConfigError("le_min", f"le_min ({self.le_min}) must be < le_max ({self.le_max})")
         if self.le_min < 0:
@@ -577,6 +577,11 @@ def find_extremum(config, measure, kind, window):
     ``measure``, the last round's best point ``le_km_per_GeV``, its table
     ``value``, the final ``bracket`` and ``boundary``, which is true if the
     best scan point sits on the window boundary; then nothing is refined.
+
+    The scan reads ``config.path`` as the route of every table call, so it
+    must be one of ``measures.PATHS``: ``both`` raises the ``ValueError`` of
+    ``measures.table``.  The config's grid (``points``, ``scale``) is not
+    read, only validated.
     """
     config.validate()
     if measure not in measures.MEASURE_NAMES:
@@ -593,7 +598,6 @@ def find_extremum(config, measure, kind, window):
         raise ConfigError("window", f"window {window!r} must lie inside the sweep range "
                                     f"[{config.le_min}, {config.le_max}] {config.unit}")
     params = config.load_params()
-    path = "closed-form" if config.path == "both" else config.path
     column = CSV_COLUMNS.index(measure)
     sign = -1.0 if kind == "max" else 1.0
 
@@ -603,7 +607,7 @@ def find_extremum(config, measure, kind, window):
 
     def best_of(grid):
         """Index of the best grid point, its L/E and its table value."""
-        vals = measures.table(params, config.initial, grid, path=path)[:, column]
+        vals = measures.table(params, config.initial, grid, path=config.path)[:, column]
         best = int(np.argmin(sign * vals))
         return best, float(grid[best]), float(vals[best])
 

@@ -25,8 +25,8 @@ class TripartiteState:
 
     def __post_init__(self):
         norm = abs(self.a_e) ** 2 + abs(self.a_mu) ** 2 + abs(self.a_tau) ** 2
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 is {norm!r}, expected 1 within {NORM_TOL}")
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
+            raise ValueError(f"state norm^2 is {float(norm)!r}, expected 1 within {NORM_TOL}")
 
     def amplitudes(self):
         return (self.a_e, self.a_mu, self.a_tau)
@@ -63,7 +63,7 @@ def density(amps):
     bad = ~(np.abs(norm - 1.0) <= NORM_TOL)
     if np.any(bad):
         raise ValueError(
-            f"state norm^2 is {norm[bad].flat[0]!r}, expected 1 within {NORM_TOL}"
+            f"state norm^2 is {float(norm[bad].flat[0])!r}, expected 1 within {NORM_TOL}"
         )
     v = np.zeros((8,) + amps.shape[:-1], dtype=np.complex128)
     v[list(OCCUPATION_INDICES)] = rows

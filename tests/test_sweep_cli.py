@@ -167,6 +167,16 @@ class TestConfig:
             small_config(**kw)
         assert err.value.field_name == field
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", ["le_min", "le_max"])
+    def test_non_finite_bound_names_its_field(self, capsys, field, value):
+        with pytest.raises(ConfigError) as err:
+            SweepConfig.from_dict({field: float(value)})
+        assert err.value.field_name == field
+        assert main(["sweep", "--points", "10", "--" + field.replace("_", "-"), value]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field}: sweep bounds must be finite, got {value}\n")
+
     def test_from_json_roundtrip(self, tmp_path):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"initial": "mu", "le_min": 10.0,
@@ -776,6 +786,11 @@ class TestFindExtremum:
         with pytest.raises(ConfigError, match="measure"):
             find_extremum(small_config(), "entropy", "max", (1.0, 2.0))
 
+    def test_rejects_both_routes(self):
+        # a query runs one route: measures.table names the one it cannot run
+        with pytest.raises(ValueError, match="got 'both'"):
+            find_extremum(small_config(path="both"), "fill", "max", (8.0, 13.0))
+
 
 class TestTriangleRecord:
     def test_muon_points(self, params):
@@ -897,7 +912,7 @@ class TestCli:
     FLAGS = {
         "initial": ("--initial", "mu", "mu"),
         "unit": ("--unit", "km/GeV", "km/GeV"),
-        "path": ("--path", "both", "both"),
+        "path": ("--path", "generic", "generic"),
         "params_file": ("--params", "p.json", "p.json"),
         "output": ("--output", "o.json", "o.json"),
         "le_min": ("--le-min", "2", 2.0),
@@ -906,6 +921,8 @@ class TestCli:
         "scale": ("--scale", "log", "log"),
     }
     GRID_FIELDS = ("le_min", "le_max", "points", "scale")
+    #: an extremum query scans its own grid inside the window
+    EXTREMUM_OMITS = ("points", "scale")
     #: a single-point report takes neither the grid nor the route
     TRIANGLE_OMITS = (*GRID_FIELDS, "path")
 
@@ -915,25 +932,43 @@ class TestCli:
         ["triangle", "--le", "4.61"],
     ], ids=lambda argv: argv[0])
     def test_each_flag_sets_the_field_of_its_name(self, argv):
+        omits = {"extremum": self.EXTREMUM_OMITS, "triangle": self.TRIANGLE_OMITS}
         flags = {name: flag for name, flag in self.FLAGS.items()
-                 if argv[0] != "triangle" or name not in self.TRIANGLE_OMITS}
+                 if name not in omits.get(argv[0], ())}
         args = build_parser().parse_args(
             argv + [arg for flag, value, _ in flags.values() for arg in (flag, value)])
         expected = dataclasses.asdict(SweepConfig())
         expected.update({name: field_value for name, (_, _, field_value) in flags.items()})
         assert dataclasses.asdict(_config_from_args(args)) == expected
 
-    def test_triangle_takes_no_grid_flag(self, capsys):
+    @pytest.mark.parametrize("flag", [["--points", "7"], ["--scale", "log"]],
+                             ids=lambda flag: flag[0][2:])
+    @pytest.mark.parametrize("argv", [
+        ["triangle", "--le", "4.61"],
+        ["extremum", "--measure", "fill", "--kind", "max", "--window", "8", "13"],
+    ], ids=lambda argv: argv[0])
+    def test_takes_no_grid_flag(self, capsys, argv, flag):
+        # a report reads one point and an extremum query scans its own grid,
+        # so neither reads the sweep's grid
         with pytest.raises(SystemExit) as exit_:
-            main(["triangle", "--le", "4.61", "--points", "7"])
+            main(argv + flag)
         assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    def test_triangle_takes_no_path_flag(self, capsys):
+    @pytest.mark.parametrize("argv,error", [
         # the report is always closed-form, so a route flag would do nothing
+        (["triangle", "--le", "4.61", "--json", "--path", "generic"],
+         "unrecognized arguments: --path generic"),
+        # an extremum query runs one route; both would write the closed-form record
+        (["extremum", "--measure", "fill", "--kind", "max", "--window", "8", "13",
+          "--path", "both"],
+         "argument --path: invalid choice: 'both'"),
+    ], ids=["triangle", "extremum"])
+    def test_takes_only_the_routes_it_runs(self, capsys, argv, error):
         with pytest.raises(SystemExit) as exit_:
-            main(["triangle", "--le", "4.61", "--json", "--path", "generic"])
+            main(argv)
         assert exit_.value.code == 2
-        assert "unrecognized arguments: --path generic" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_triangle_names_an_overflowing_le(self, capsys):
         assert main(["triangle", "--le", "1e308"]) == 2

@@ -32,6 +32,9 @@ class TestMakeState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             make_state((1.0, 1.0, 0.0))
+        # a NaN norm fails the tolerance test too, and prints as a plain float
+        with pytest.raises(ValueError, match=r"norm\^2 is nan, "):
+            make_state((np.nan, 0.0, 0.0))
 
 
 class TestDensity:
@@ -73,6 +76,9 @@ class TestDensity:
     def test_amplitude_stack_rejects_unnormalized_row(self):
         amps = np.array([[1.0, 0.0, 0.0], [0.6, 0.6, 0.0]])
         with pytest.raises(ValueError, match="norm"):
+            density(amps)
+        amps[1] = (np.nan, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"norm\^2 is nan, "):
             density(amps)
 
     @settings(max_examples=100, deadline=None)
