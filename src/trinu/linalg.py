@@ -4,7 +4,10 @@ Everything here operates on plain ``numpy`` arrays and broadcasts over
 leading axes, so a stack of matrices is handled in one call.  The private
 helpers of the generic route (``_partial_trace``, ``_x_spectra``) take
 entry rows instead: shape (d, d, ...), the matrix axes first and the states
-after them, so that each entry of every matrix is one contiguous row.  The
+after them, so that each entry of every matrix is one contiguous row.
+``_x_spectra`` tests the X pattern its closed form relies on, and gives the
+spectra of the partial transposes only: the negativities read them, and no
+check of the route reads the spectra of the matrices themselves.  The
 three-qubit index convention is fixed once and for all: qubit A is the most
 significant bit of the 3-bit basis index, so ``|100>`` sits at index 4.
 """
@@ -15,7 +18,8 @@ import numpy as np
 
 from ._backend import eigvalsh_small
 
-#: Maximum tolerated Hermiticity defect max|m - m^dagger|.
+#: Maximum tolerated Hermiticity defect max|m - m^dagger|, and off-X entry
+#: of a matrix that ``_x_spectra`` takes as an X matrix.
 HERMITICITY_TOL = 1e-12
 
 #: Eigenvalues above this (negative) floor count as non-negative.
@@ -72,59 +76,32 @@ def _eig2(a, d, b):
 
 
 def _x_spectra(m):
-    """X-block eigenvalues of Hermitian 4x4 matrices and of their partial transposes.
+    """X-block eigenvalues of the partial transposes of Hermitian 4x4 X matrices.
 
     ``m`` holds the matrices as entry rows, shape (4, 4, ...): ``m[r, c]``
-    is entry (r, c) of every matrix.  Returns ``off``, shape (...), the
-    largest |entry| outside the X pattern; the eigenvalues of the blocks
-    {|00>, |11>} and {|01>, |10>} of ``m`` as (4, ...) rows, (smaller,
-    larger) of the first block, then of the second; and the same for the
-    partial transpose of ``m``.  A partial transpose, on either qubit, maps
-    the X pattern onto itself: it keeps the diagonal and trades the blocks'
-    off-diagonal entries, so its blocks take |m[1, 2]| and |m[0, 3]| where
-    those of ``m`` take |m[3, 0]| and |m[2, 1]|.  Every entry is read
-    through a strided view of the flat entry rows, so nothing is copied
-    before ``_eig2`` takes the eigenvalues of all four blocks at once.
+    is entry (r, c) of every matrix.  Raises ``ValueError`` unless every
+    entry outside the X pattern is within ``HERMITICITY_TOL`` of zero, and
+    returns the eigenvalues of the blocks {|00>, |11>} and {|01>, |10>} of
+    the partial transpose of ``m`` as (4, ...) rows: (smaller, larger) of
+    the first block, then of the second.  A partial transpose, on either
+    qubit, maps the X pattern onto itself: it keeps the diagonal and trades
+    the blocks' off-diagonal entries, so its blocks take |m[1, 2]| and
+    |m[0, 3]|.  Every entry is read through a strided view of the flat
+    entry rows, so nothing is copied before ``_eig2`` takes the eigenvalues
+    of both blocks at once.
     """
-    flat = m.reshape((16,) + m.shape[2:])
-    # the blocks' entries a, (m[0, 0], m[1, 1]), and d, (m[3, 3], m[2, 2]),
-    # are shared by the transpose; their entries b, (m[3, 0], m[2, 1]) of m
-    # and (m[1, 2], m[0, 3]) of its transpose, at flat 12, 9, 6 and 3, are
-    # (transpose, block) rows
-    a, d = flat[0:6:5].real, flat[15:9:-5].real
-    b = flat[12:2:-3].reshape((2, 2) + m.shape[2:])
-    _, lo, hi = _eig2(a, d, b)
     # off the X: m[0, 1:3], m[3, 1:3], m[1, 0::3] and m[2, 0::3]
-    off = np.maximum(np.abs(m[0::3, 1:3]).max(axis=(0, 1)),
-                     np.abs(m[1:3, 0::3]).max(axis=(0, 1)))
-    w = np.stack([lo, hi], axis=2).reshape((2, 4) + m.shape[2:])
-    return off, w[0], w[1]
-
-
-def _check_x_psd(off, w):
-    """Raise ``ValueError`` unless ``_x_spectra(m)[:2]`` shows an X-shaped, PSD ``m``.
-
-    ``off`` has shape (...) and ``w`` holds the block eigenvalues as (4, ...)
-    rows, as ``_x_spectra`` returns them.
-
-    Every entry outside the X pattern must be within ``HERMITICITY_TOL`` of
-    zero.  That off-X part is Hermitian with at most two entries per row, so
-    its spectral norm is at most twice its largest entry, and (Weyl) every
-    eigenvalue of the matrix is within that of an X-block eigenvalue.  So
-    the smallest block eigenvalue minus twice the largest off-X entry must
-    exceed ``-PSD_TOL``: a test never weaker than requiring every exact
-    eigenvalue to exceed it.
-    """
-    worst = float(off.max())
-    if not worst <= HERMITICITY_TOL:  # NaN fails too
+    off = float(np.maximum(np.abs(m[0::3, 1:3]).max(), np.abs(m[1:3, 0::3]).max()))
+    if not off <= HERMITICITY_TOL:  # NaN fails too
         raise ValueError(
-            f"matrix is not an X state: off-X entry {worst:.3e} exceeds {HERMITICITY_TOL:.1e}"
+            f"matrix is not an X state: off-X entry {off:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    low = float((w.min(axis=0) - 2.0 * off).min())
-    if not low > -PSD_TOL:
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue bound {low:.3e} is below {-PSD_TOL:.1e}"
-        )
+    flat = m.reshape((16,) + m.shape[2:])
+    # the blocks' entries a, (m[0, 0], m[1, 1]), d, (m[3, 3], m[2, 2]), and
+    # b, (m[1, 2], m[0, 3]) at flat 6 and 3
+    a, d, b = flat[0:6:5].real, flat[15:9:-5].real, flat[6:2:-3]
+    _, lo, hi = _eig2(a, d, b)
+    return np.stack([lo, hi], axis=1).reshape((4,) + m.shape[2:])
 
 
 def _qubit_axes(keep):

@@ -3,11 +3,11 @@
 Every measure is available along two independent routes:
 
 * a *generic* route that works on the 8x8 density matrix through partial
-  traces and the spectra of the two-qubit reductions and of their partial
-  transposes, batched over stacks of states.  Those reductions are X
-  states, so all these spectra come in closed form from 2x2 blocks.  It
-  holds the matrices as entry rows, states on the last axis, so each entry
-  it reads is one contiguous row, and
+  traces and the spectra of the one-qubit reductions and of the partial
+  transposes of the two-qubit ones, batched over stacks of states.  The
+  two-qubit reductions are X states, so all these spectra come in closed
+  form from 2x2 blocks.  It holds the matrices as entry rows, states on the
+  last axis, so each entry it reads is one contiguous row, and
 * a *closed-form* route expressed directly in the three oscillation
   probabilities.  It works on them as component rows (p_e, p_mu, p_tau),
   so that each quantity it forms is one contiguous row of a block.
@@ -47,31 +47,6 @@ def _snap(x):
     the negative ones, to +0.0, in place; returns ``x``."""
     np.copyto(x, 0.0, where=np.abs(x) < VALUE_SNAP)
     return np.maximum(x, 0.0, out=x)
-
-
-def check_triangles(edges):
-    """Raise ``ValueError`` unless every row of ``edges`` (..., 3) is a triangle.
-
-    Each edge must lie in [0, 1] and none may exceed the sum of the other
-    two, both within 1e-10.  Each predicate is tested by whole-array
-    reductions, and the offending edge is looked for only when one fails.
-    ``min`` and ``max`` return NaN if any edge is NaN, and NaN fails both
-    comparisons.
-    """
-    edges = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
-    rows = edges.T
-    if rows.size and not (rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-10):
-        bad = ~((edges >= -1e-10) & (edges <= 1.0 + 1e-10))
-        raise ValueError(f"triangle edge {float(edges[bad][0])!r} outside [0, 1]")
-    # each edge against (a + b + c) - edge, the sum of the other two
-    slack = rows[0] + rows[1] + rows[2] - rows + 1e-10
-    if np.greater(rows, slack).any():
-        bad = edges > slack.T
-        row = int(np.nonzero(bad.any(axis=-1))[0][0])
-        raise ValueError(
-            f"edge {float(edges[bad][0])!r} violates the triangle inequality against "
-            f"{tuple(edges[row].tolist())}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +160,9 @@ def heron_fill(edges):
 #: States per batch of the generic route; bounds its working memory.
 GENERIC_CHUNK = 256
 
+#: Largest |e_x - C_xy^2 - C_xz^2| the generic route accepts.
+CKW_TOL = 1e-12
+
 
 def negativity(rho):
     """Trace-norm deficit ||rho^T||_1 - 1 of a two-qubit partial transpose.
@@ -238,8 +216,9 @@ def _generic_chunk(amps, edges, ggm, neg):
     ``edges`` (3, m) takes 4 det of the three single-qubit reductions,
     ``ggm`` (m,) their smallest eigenvalue, and ``neg`` (3, m) the sum of
     the negative eigenvalues of the partial transposes of rho_AB, rho_AC and
-    rho_BC.  Raises ``ValueError`` unless the pair reductions are X-shaped
-    and PSD.
+    rho_BC.  Raises ``ValueError`` unless the edges satisfy the CKW identity
+    to ``CKW_TOL``, and then unless the pair reductions are X-shaped to
+    ``linalg.HERMITICITY_TOL``.  These are the route's two checks.
     """
     pairs = _pair_traces(amps)
     # rho_A and rho_B are partial traces of rho_AB, rho_C one of rho_AC: only
@@ -257,12 +236,25 @@ def _generic_chunk(amps, edges, ggm, neg):
     det, lo, _ = linalg._eig2(ad[:3], ad[3:], b)
     np.multiply(4.0, det, out=edges)
     np.min(lo, axis=0, out=ggm)
+    # the three-tangle of a W-class state is 0, so each edge is also the sum
+    # of two squared pair concurrences (Coffman, Kundu and Wootters, PRA 61,
+    # 052306 (2000)): e_A = C_AB^2 + C_AC^2 and so on, with C_xy^2 =
+    # 4 |rho_xy[01, 10]|^2 at flat rows 6, 22 and 38.  A wrong trace, index
+    # or qubit order breaks the identity; it also implies the triangle
+    # inequality, e_b + e_c - e_a = 2 C_bc^2 >= 0
+    c2 = 4.0 * np.abs(flat[6::16]) ** 2
+    residual = float(np.abs(edges - c2[[0, 0, 1]] - c2[[1, 2, 2]]).max())
+    if not residual <= CKW_TOL:  # NaN fails too
+        raise ValueError(
+            f"edges fail the CKW identity e_x = C_xy^2 + C_xz^2: residual "
+            f"{residual:.3e} exceeds {CKW_TOL:.1e}"
+        )
     # every two-qubit reduction of a W-class state is an X state (Yu and
-    # Eberly, QIC 7, 459 (2007)), so its spectrum, and that of its partial
-    # transpose, comes in closed form from two 2x2 blocks.  The transpose
-    # maps the X pattern onto itself, so it needs no check of its own.
-    off, w, wt = linalg._x_spectra(pairs.transpose(1, 2, 0, 3))
-    linalg._check_x_psd(off, w)
+    # Eberly, QIC 7, 459 (2007)), so the spectrum of its partial transpose
+    # comes in closed form from two 2x2 blocks.  The identity above cannot
+    # see an off-X entry that the single-qubit reductions do not read, so
+    # ``_x_spectra`` tests the pattern.
+    wt = linalg._x_spectra(pairs.transpose(1, 2, 0, 3))
     np.minimum(wt, 0.0).sum(axis=0, out=neg)
 
 
@@ -270,9 +262,8 @@ def _generic_block(amps, block):
     """The generic route on the (n, 3) ``amps``, into the rows of the (7, n)
     ``block``: (ggm, three_pi, gmc, fill), then the triangle edges.
 
-    The spectra, and the X-structure and PSD test, go ``GENERIC_CHUNK``
-    states at a time; the triangle check and the measures are then rows over
-    all n states.
+    The spectra, and the CKW and X-structure checks, go ``GENERIC_CHUNK``
+    states at a time; the measures are then rows over all n states.
     """
     ggm, three_pi, gmc, fill = block[:4]
     edges = block[4:]
@@ -280,7 +271,7 @@ def _generic_block(amps, block):
     for i in range(0, len(amps), GENERIC_CHUNK):
         j = i + GENERIC_CHUNK
         _generic_chunk(amps[i:j], edges[:, i:j], ggm[i:j], neg[:, i:j])
-    check_triangles(_snap(edges).T)
+    _snap(edges)
     # the negativities -2 (sum of the negative eigenvalues) of AB, AC and
     # BC, squared
     neg *= -2.0
@@ -304,10 +295,13 @@ def generic_measures(amps):
     ``GENERIC_CHUNK``.  Per batch: the density matrices as entry rows; their
     three two-qubit reductions, each as sums of diagonal slices, from whose
     entries those of the single-qubit reductions are summed; the spectra of
-    the 2x2 single-qubit reductions, and of the 2x2 blocks of the two-qubit
-    reductions and of their partial transposes, all by the one closed form
-    ``linalg._eig2``; and one X-structure and PSD test of the reductions
-    from their blocks.  Then, over all rows: the triangle check, the
+    the 2x2 single-qubit reductions, and of the 2x2 blocks of the partial
+    transposes of the two-qubit reductions, all by the one closed form
+    ``linalg._eig2``; and two checks.  The edges must satisfy the CKW
+    identity e_x = C_xy^2 + C_xz^2, with the pair concurrences read from the
+    reductions' coherences, to ``CKW_TOL``; then every entry of the
+    reductions outside the X pattern must be within
+    ``linalg.HERMITICITY_TOL`` of zero.  Then, over all rows: the
     negativities from the blocks of the partial transposes, and the four
     measures.  No LAPACK solver is called.
     """
@@ -357,8 +351,9 @@ def table(params, initial, le, path="closed-form"):
     (n, 11) array whose columns are ``CSV_COLUMNS``.  Both routes take the
     probabilities |a|^2 of one amplitude evaluation; the closed form works
     from them, the generic route from the amplitudes.  The probabilities are
-    validated on either route, the generic route's triangles by
-    ``check_triangles``.
+    validated on either route, and the generic route checks its edges
+    against the CKW identity and its reductions for the X pattern
+    (``generic_measures``).
 
     The columns are built as the contiguous rows of one (11, n) block,
     which is transposed once at the end: the probabilities, and on the

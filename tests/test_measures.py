@@ -18,8 +18,8 @@ from trinu import (
     three_pi,
     triangle_record,
 )
-from trinu import linalg, measures
-from trinu.measures import MEASURE_NAMES, check_triangles, heron_fill, measures_from_probs
+from trinu import linalg, measures, tristate
+from trinu.measures import MEASURE_NAMES, heron_fill, measures_from_probs
 from trinu.oscillation import _clip_probability_rows, amplitude_array
 
 from conftest import w_class_states
@@ -83,10 +83,6 @@ class TestConcurrenceTriangle:
         rec = triangle_record(params, "mu", 262.2)
         a, b, c = rec["edges"].values()
         assert rec["half_perimeter"] == (a + b + c) / 2.0
-
-    def test_rejects_inequality_violation(self):
-        with pytest.raises(ValueError, match="triangle"):
-            check_triangles((0.9, 0.1, 0.1))
 
     @settings(max_examples=150, deadline=None)
     @given(w_class_states())
@@ -303,6 +299,52 @@ class TestGenericMeasures:
             with pytest.raises(ValueError, match="not an X state: off-X entry 2.000e-12"):
                 measures.generic_measures(amps)
 
+    # each fault fails the CKW check, which runs before the off-X check;
+    # every reduction stays an X state under each of them
+    @pytest.mark.parametrize("fault", ["swapped pair traces", "unconjugated density",
+                                       "wrong single-qubit index"])
+    def test_ckw_check_rejects_a_faulty_route(self, monkeypatch, params, fault):
+        if fault == "swapped pair traces":
+            traces = measures._pair_traces
+            monkeypatch.setattr(measures, "_pair_traces", lambda chunk: traces(chunk)[[0, 2, 1]])
+        elif fault == "unconjugated density":
+            def unconjugated(amps):
+                v = np.zeros((8, len(amps)), dtype=np.complex128)
+                v[list(tristate.OCCUPATION_INDICES)] = np.asarray(amps).T
+                return np.moveaxis(v[:, None] * v[None, :], (0, 1), (-2, -1))
+
+            monkeypatch.setattr(tristate, "density", unconjugated)
+        else:
+            # rho_C's a from rho_AC[01, 01], where rho_AC[10, 10] belongs
+            first, second = measures._SINGLE_AD
+            monkeypatch.setattr(measures, "_SINGLE_AD",
+                                (first, np.where(second == 26, 21, second)))
+        amps = amplitude_array(params, "mu", np.geomspace(10.0, 1600.0, 300))
+        with pytest.raises(ValueError, match=r"^edges fail the CKW identity e_x = C_xy\^2 "
+                                             r"\+ C_xz\^2: residual \d\.\d{3}e[-+]0\d "
+                                             r"exceeds 1\.0e-12$"):
+            measures.generic_measures(amps)
+
+    def test_off_x_check_rejects_what_the_ckw_check_passes(self, monkeypatch, params):
+        # |nu_tau> on |000>: C factors out, so the three-tangle is 0 and the
+        # edges keep the CKW identity, but rho_AB and rho_A are not X-shaped
+        monkeypatch.setattr(tristate, "OCCUPATION_INDICES", (4, 2, 0))
+        amps = amplitude_array(params, "mu", np.geomspace(10.0, 1600.0, 300))
+        with pytest.raises(ValueError, match="not an X state: off-X entry"):
+            measures.generic_measures(amps)
+        monkeypatch.setattr(linalg, "HERMITICITY_TOL", np.inf)
+        assert np.isfinite(np.hstack(measures.generic_measures(amps))).all()
+
+    # the norm check lets these rows through, and their edges (1 + 0.99e-10)^2
+    # and (1 - 0.99e-10)^2 are right for them
+    @pytest.mark.parametrize("excess", [0.99e-10, -0.99e-10])
+    def test_rows_the_norm_check_accepts_give_finite_measures(self, excess):
+        x = math.sqrt(0.5 * (1.0 + excess))
+        values, edges = measures.generic_measures([[x, x, 0.0]])
+        assert np.isfinite(values).all()
+        assert edges[0].tolist() == pytest.approx([(1.0 + excess) ** 2] * 2 + [0.0],
+                                                  rel=1e-15, abs=0.0)
+
     def test_rejects_unnormalized_row(self):
         amps = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="norm"):
@@ -311,66 +353,6 @@ class TestGenericMeasures:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             measures.generic_measures(np.ones(3))
-
-    def test_triangle_check_names_the_violation(self):
-        measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 1.0]]))
-        with pytest.raises(ValueError, match="triangle inequality"):
-            measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.9, 0.1, 0.1]]))
-        with pytest.raises(ValueError, match="outside"):
-            measures.check_triangles(np.array([0.2, np.nan, 0.4]))
-
-    def test_triangle_check_on_one_triangle(self):
-        measures.check_triangles(np.array([0.2, 0.3, 0.4]))
-        with pytest.raises(ValueError) as err:
-            measures.check_triangles(np.array([0.9, 0.1, 0.1]))
-        assert str(err.value) == (
-            "edge 0.9 violates the triangle inequality against (0.9, 0.1, 0.1)")
-
-    def test_triangle_check_messages_print_plain_floats(self):
-        with pytest.raises(ValueError) as err:
-            measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.2, np.nan, 0.4]]))
-        assert str(err.value) == "triangle edge nan outside [0, 1]"
-        with pytest.raises(ValueError) as err:
-            measures.check_triangles(np.array([[0.2, 0.3, 0.4], [0.1, 0.25, 0.1]]))
-        assert str(err.value) == (
-            "edge 0.25 violates the triangle inequality against (0.1, 0.25, 0.1)")
-
-
-class TestTriangleCheckBoundaries:
-    """Each bound of ``check_triangles`` holds to the ulp, in any row of a stack."""
-
-    def test_inequality_slack_is_exactly_1e_10(self):
-        # 0.5 + 1e-10 is the largest edge that (0.25, 0.25) still admits
-        stack = np.array([[0.2, 0.3, 0.4], [0.5 + 1e-10, 0.25, 0.25]])
-        check_triangles(stack)
-        stack[1, 0] = np.nextafter(0.5 + 1e-10, 1.0)
-        with pytest.raises(ValueError) as err:
-            check_triangles(stack)
-        assert str(err.value) == ("edge 0.5000000001000001 violates the triangle "
-                                  "inequality against (0.5000000001000001, 0.25, 0.25)")
-
-    @pytest.mark.parametrize("bound,outward,others", [
-        (-1e-10, -1.0, 0.5), (1.0 + 1e-10, 2.0, 0.5 + 5e-11),
-    ])
-    def test_edge_range_bounds(self, bound, outward, others):
-        for value in (bound, np.nextafter(bound, 0.5)):
-            check_triangles(np.array([[0.2, 0.3, 0.4], [value, others, others]]))
-        beyond = float(np.nextafter(bound, outward))
-        with pytest.raises(ValueError) as err:
-            check_triangles(np.array([[0.2, 0.3, 0.4], [beyond, others, others]]))
-        assert str(err.value) == f"triangle edge {beyond!r} outside [0, 1]"
-
-    @pytest.mark.parametrize("row", [0, -1])
-    def test_nan_in_first_or_last_row(self, row):
-        # the NaN is reported, not the triangle violation in the middle row
-        stack = np.array([[0.2, 0.3, 0.4], [0.9, 0.1, 0.1], [0.3, 0.4, 0.5]])
-        stack[row, 2] = np.nan
-        with pytest.raises(ValueError) as err:
-            check_triangles(stack)
-        assert str(err.value) == "triangle edge nan outside [0, 1]"
-
-    def test_empty_stack_passes(self):
-        check_triangles(np.empty((0, 3)))
 
 
 class TestNanAndEmptyInputs:
@@ -532,14 +514,17 @@ class TestClosedFormInvariants:
     def test_closed_form_edges_pass_the_triangle_check(self, weights, excess):
         # why ``table`` does not check the closed-form triangles: for rows the
         # probability check accepts, summing to within 4e-11 of 1, the edges
-        # 4 p_x (p_y + p_z) pass it (e_b + e_c - e_a = 8 p_b p_c, and no edge
-        # exceeds the squared row sum); |a|^2 of unitary evolution sums to 1
-        # within about 1e-15
+        # 4 p_x (p_y + p_z) lie in [0, 1] and keep the triangle inequality,
+        # both within 1e-10 (e_b + e_c - e_a = 8 p_b p_c, and no edge exceeds
+        # the squared row sum); |a|^2 of unitary evolution sums to 1 within
+        # about 1e-15
         w = np.array(weights).T
         w[0, w.sum(axis=0) == 0.0] = 1.0   # an all-zero draw stands for a basis state
         p = np.minimum(w / w.sum(axis=0) * (1.0 + excess), 1.0)
         _clip_probability_rows(p)
-        check_triangles(measures._closed_form(p)[1].T)
+        edges = measures._closed_form(p)[1]
+        assert edges.min() >= -1e-10 and edges.max() <= 1.0 + 1e-10
+        assert np.all(edges <= edges.sum(axis=0) - edges + 1e-10)
 
     def test_gmc_value_stable_under_edge_ties(self):
         p = np.array([0.25, 0.25, 0.5])
