@@ -17,14 +17,19 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 
 from . import measures, sweep
 from .sweep import ConfigError, SweepConfig
 
+#: The shipped sweeps, one per observed channel: electron antineutrinos over
+#: 0-40 km/MeV on a linear grid, muon antineutrinos over 10-1600 km/GeV on a
+#: log grid.  Each sets all seven grid and route fields, so a change of the
+#: ``SweepConfig`` defaults leaves both as they are.
 PRESETS = {
-    "electron": "electron_linear.json",
-    "muon": "muon_log.json",
+    "electron": {"initial": "e", "le_min": 0.0, "le_max": 40.0, "unit": "km/MeV",
+                 "points": 4001, "scale": "linear", "path": "closed-form"},
+    "muon": {"initial": "mu", "le_min": 10.0, "le_max": 1600.0, "unit": "km/GeV",
+             "points": 4001, "scale": "log", "path": "closed-form"},
 }
 
 #: Largest route discrepancy, NaN never, that ``sweep --path both`` passes; past
@@ -33,8 +38,7 @@ CROSSCHECK_TOL = 1e-10
 
 
 def load_preset(name):
-    ref = resources.files("trinu.presets") / PRESETS[name]
-    return SweepConfig.from_dict(json.loads(ref.read_text()))
+    return SweepConfig.from_dict(PRESETS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,10 +97,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run an L/E sweep and emit CSV")
-    p_sweep.add_argument("--config", metavar="FILE",
-                         help="JSON SweepConfig to start from")
-    p_sweep.add_argument("--preset", choices=sorted(PRESETS),
-                         help="shipped sweep preset to start from")
+    start = p_sweep.add_mutually_exclusive_group()
+    start.add_argument("--config", metavar="FILE",
+                       help="JSON SweepConfig to start from")
+    start.add_argument("--preset", choices=sorted(PRESETS),
+                       help="shipped sweep preset to start from")
     p_sweep.add_argument("--slopes", metavar="FILE",
                          help="also write finite-difference slopes of the "
                               "measures to FILE")
@@ -122,8 +127,6 @@ def build_parser():
 
 
 def _config_from_args(args):
-    if getattr(args, "config", None) and getattr(args, "preset", None):
-        raise ConfigError("config", "--config and --preset are mutually exclusive")
     if getattr(args, "config", None):
         config = SweepConfig.from_json(args.config)
     elif getattr(args, "preset", None):
@@ -159,8 +162,18 @@ def _open_output(path):
         raise
 
 
+def _same_file(a, b):
+    """Whether paths ``a`` and ``b`` name one file: hard links count where both exist."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_sweep(args):
     config = _config_from_args(args)
+    # two handles on one file would write over each other from offset 0
+    if args.slopes and config.output is not None and _same_file(args.slopes, config.output):
+        raise ConfigError("slopes", f"--slopes names the --output file {args.slopes}")
     with contextlib.ExitStack() as stack:
         csv = stack.enter_context(_open_output(config.output))
         slopes = stack.enter_context(_open_output(args.slopes)) if args.slopes else None
@@ -215,7 +228,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ConfigError and json.JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

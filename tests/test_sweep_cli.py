@@ -186,12 +186,27 @@ class TestConfig:
         assert cfg.initial == "mu"
         assert cfg.scale == "log"
 
+    #: The documented fields of the two presets (README, CLI section).
+    PRESET_FIELDS = {
+        "electron": dict(initial="e", le_min=0.0, le_max=40.0, unit="km/MeV",
+                         points=4001, scale="linear", path="closed-form"),
+        "muon": dict(initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV",
+                     points=4001, scale="log", path="closed-form"),
+    }
+
     def test_presets_load_and_validate(self):
-        e = load_preset("electron")
-        assert (e.initial, e.unit, e.scale, e.points) == ("e", "km/MeV", "linear", 4001)
-        m = load_preset("muon")
-        assert (m.initial, m.unit, m.scale) == ("mu", "km/GeV", "log")
-        assert m.le_min == 10.0 and m.le_max == 1600.0
+        for name, fields in self.PRESET_FIELDS.items():
+            expected = SweepConfig(**fields, params_file=None, output=None)
+            assert dataclasses.asdict(load_preset(name)) == dataclasses.asdict(expected)
+
+    def test_preset_and_its_fields_as_config_write_the_same_csv(self, tmp_path):
+        cfg = tmp_path / "muon.json"
+        cfg.write_text(json.dumps(self.PRESET_FIELDS["muon"]))
+        by_preset, by_config = tmp_path / "preset.csv", tmp_path / "config.csv"
+        argv = ["sweep", "--points", "101", "--output"]
+        assert main(argv + [str(by_preset), "--preset", "muon"]) == 0
+        assert main(argv + [str(by_config), "--config", str(cfg)]) == 0
+        assert by_preset.read_bytes() == by_config.read_bytes()
 
 
 def table_cells():
@@ -1068,6 +1083,40 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 2
         assert f"error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_and_preset_exclude_each_other(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--config", str(cfg), "--preset", "muon"])
+        assert exit_.value.code == 2
+        assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--config", "error: config: configuration file must hold a JSON object\n"),
+        ("--params", "error: parameter file must contain a JSON object\n"),
+    ])
+    def test_json_array_file_exit_code(self, tmp_path, capsys, flag, message):
+        f = tmp_path / "array.json"
+        f.write_text("[1, 2]")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--points", "51", flag, str(f), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("slopes", ["same", "respelled", "hard-link"])
+    def test_slopes_naming_the_output_file_exit_code(self, tmp_path, capsys, slopes):
+        # two handles on one file would each write it from offset 0
+        out = tmp_path / "s.csv"
+        out.write_text("kept\n")
+        path = {"same": out, "respelled": tmp_path / "sub" / ".." / "s.csv",
+                "hard-link": tmp_path / "link.csv"}[slopes]
+        if slopes == "hard-link":
+            os.link(out, path)
+        assert main(["sweep", "--points", "5", "--output", str(out), "--slopes", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: slopes: --slopes names the --output file {path}\n")
+        assert out.read_text() == "kept\n"
 
     def test_mistyped_params_field_exit_code(self, tmp_path, capsys):
         pfile = tmp_path / "params.json"
