@@ -51,11 +51,15 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+        # only a token that starts with "-" can read as an option
+        if arg_string.startswith("-"):
+            try:
+                float(arg_string)
+            except ValueError:
+                pass
+            else:
+                return None
+        return super()._parse_optional(arg_string)
 
 
 def _add_sweep_flags(parser, paths=()):
@@ -82,12 +86,54 @@ def _add_sweep_flags(parser, paths=()):
                         help="output file (default: stdout)")
 
 
+def _sweep_arguments(parser):
+    start = parser.add_mutually_exclusive_group()
+    start.add_argument("--config", metavar="FILE",
+                       help="JSON SweepConfig to start from")
+    start.add_argument("--preset", choices=sorted(PRESETS),
+                       help="shipped sweep preset to start from")
+    parser.add_argument("--slopes", metavar="FILE",
+                        help="also write finite-difference slopes of the "
+                             "measures to FILE")
+    _add_sweep_flags(parser, sweep.PATHS)
+    parser.add_argument("--points", type=int, default=None)
+    parser.add_argument("--scale", choices=sweep.SCALES, default=None)
+
+
+def _extremum_arguments(parser):
+    parser.add_argument("--measure", choices=measures.MEASURE_NAMES, required=True)
+    parser.add_argument("--kind", choices=("max", "min"), required=True)
+    parser.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
+                        required=True, help="search window, in --unit")
+    _add_sweep_flags(parser, measures.PATHS)
+
+
+def _triangle_arguments(parser):
+    parser.add_argument("--le", type=float, required=True,
+                        help="L/E value, in --unit")
+    parser.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit a JSON record instead of the text block")
+    _add_sweep_flags(parser)
+
+
+#: Each command's one-line help and the function that adds its arguments.
+_ARGUMENTS = {
+    "sweep": ("run an L/E sweep and emit CSV", _sweep_arguments),
+    "extremum": ("locate an extremum of one measure", _extremum_arguments),
+    "triangle": ("print a concurrence-triangle report", _triangle_arguments),
+}
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process.
+    """The full argument parser, with every command as a subparser.
 
-    Building it takes about 0.8 ms, against about 1.2 ms for the rest of a
-    closed-form ``extremum`` command, so ``main`` reuses it.
+    ``main`` uses it only when the first argument names no command: to
+    print the top-level usage or help, or to reject a missing or unknown
+    command.  Cold in a fresh process it took 2.0-3.3 ms, against 1.4-2.3 ms
+    for one command's parser (``command_parser``; minimum to third quartile
+    of 25 runs each on a shared 2-CPU machine); of either, about 0.9 ms is
+    the ``import locale`` that argparse's gettext triggers.
     """
     parser = _Parser(
         prog="trinu",
@@ -95,41 +141,40 @@ def build_parser():
                     "neutrino oscillations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="run an L/E sweep and emit CSV")
-    start = p_sweep.add_mutually_exclusive_group()
-    start.add_argument("--config", metavar="FILE",
-                       help="JSON SweepConfig to start from")
-    start.add_argument("--preset", choices=sorted(PRESETS),
-                       help="shipped sweep preset to start from")
-    p_sweep.add_argument("--slopes", metavar="FILE",
-                         help="also write finite-difference slopes of the "
-                              "measures to FILE")
-    _add_sweep_flags(p_sweep, sweep.PATHS)
-    p_sweep.add_argument("--points", type=int, default=None)
-    p_sweep.add_argument("--scale", choices=sweep.SCALES, default=None)
-
-    p_ext = sub.add_parser("extremum", help="locate an extremum of one measure")
-    p_ext.add_argument("--measure", choices=measures.MEASURE_NAMES, required=True)
-    p_ext.add_argument("--kind", choices=("max", "min"), required=True)
-    p_ext.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
-                       required=True, help="search window, in --unit")
-    _add_sweep_flags(p_ext, measures.PATHS)
-
-    p_tri = sub.add_parser("triangle", help="print a concurrence-triangle report")
-    p_tri.add_argument("--le", type=float, required=True,
-                       help="L/E value, in --unit")
-    p_tri.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit a JSON record instead of the text block")
-    _add_sweep_flags(p_tri)
-
+    for name, (help_, add_arguments) in _ARGUMENTS.items():
+        add_arguments(sub.add_parser(name, help=help_))
     return parser
 
 
+@functools.cache
+def command_parser(name):
+    """The parser of the command ``name`` alone, built once per process.
+
+    It takes the arguments that follow the command name and gives the
+    namespace, usage, help and errors of that command's subparser of
+    ``build_parser()``, without the top-level parser reading every token
+    first.  Only an unrecognized argument is reported differently: by this
+    parser, as ``trinu <name>: error: unrecognized arguments: ...``.
+    """
+    parser = _Parser(prog=f"trinu {name}")
+    _ARGUMENTS[name][1](parser)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def parse_args(argv):
+    """The namespace of the command line ``argv``: by the command's own
+    parser when ``argv[0]`` names a command, else by ``build_parser()``."""
+    if argv and argv[0] in _ARGUMENTS:
+        return command_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def _config_from_args(args):
-    if getattr(args, "config", None):
+    # an empty --config is a path too, and fails to open
+    if getattr(args, "config", None) is not None:
         config = SweepConfig.from_json(args.config)
-    elif getattr(args, "preset", None):
+    elif getattr(args, "preset", None) is not None:
         config = load_preset(args.preset)
     else:
         config = SweepConfig()
@@ -172,11 +217,13 @@ def _same_file(a, b):
 def _cmd_sweep(args):
     config = _config_from_args(args)
     # two handles on one file would write over each other from offset 0
-    if args.slopes and config.output is not None and _same_file(args.slopes, config.output):
+    if (args.slopes is not None and config.output is not None
+            and _same_file(args.slopes, config.output)):
         raise ConfigError("slopes", f"--slopes names the --output file {args.slopes}")
     with contextlib.ExitStack() as stack:
         csv = stack.enter_context(_open_output(config.output))
-        slopes = stack.enter_context(_open_output(args.slopes)) if args.slopes else None
+        slopes = (stack.enter_context(_open_output(args.slopes))
+                  if args.slopes is not None else None)
         summary = sweep.run_sweep(config, sink=sweep.csv_sink(csv, slopes))
     for line in sweep.summary_lines(summary):
         print(line, file=sys.stderr)
@@ -224,8 +271,7 @@ COMMANDS = {"sweep": _cmd_sweep, "extremum": _cmd_extremum, "triangle": _cmd_tri
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return COMMANDS[args.command](args)
     except ValueError as exc:  # ConfigError and json.JSONDecodeError among them

@@ -56,13 +56,14 @@ def _snap(x):
 # for bit (numpy's scalar power rounds the fourth root differently).
 # ---------------------------------------------------------------------------
 
-def _closed_form(p):
+def _closed_form(p, out=None):
     """(ggm, three_pi, gmc, fill) as (4, ...) rows and the triangle edges as (3, ...) rows.
 
     ``p`` holds the probabilities as component rows (p_e, p_mu, p_tau),
     shape (3, ...) with at least one axis after the first.  Every quantity
     is one contiguous row of a block, computed once with ``out=`` ufuncs;
-    the two results are views of one (7, ...) block.
+    the two results are views of one (7, ...) block: ``out`` if given, so
+    a table's rows are written in place, else a new one.
 
     Probabilities below ``PROB_SNAP`` count as zero.  A triangle whose
     shortest edge snaps to zero is degenerate and fills nothing, so the fill
@@ -80,15 +81,17 @@ def _closed_form(p):
     # P_y + P_z for each P_x, in place of 1 - P_x, which cancels as P_x nears 1
     rest = q[1:4] + q[2:5]
     pairs = q[1:4] * q[2:5]
-    block = np.empty((7,) + p.shape[1:])
+    block = np.empty((7,) + p.shape[1:]) if out is None else out
     values, edges = block[:4], block[4:]
     ggm, three_pi, gmc, fill = values
     # edges 4 P_x (P_y + P_z)
     np.multiply(4.0, snapped, out=edges)
     edges *= rest
     _snap(edges)
-    # the shortest edge (squared convention)
-    np.min(edges, axis=0, out=gmc)
+    # the shortest edge (squared convention); two np.minimum calls are the
+    # three-row np.min without its Python wrapper, as below
+    np.minimum(edges[0], edges[1], out=gmc)
+    np.minimum(gmc, edges[2], out=gmc)
     # the concurrence fill via the explicit W-class product formula,
     # 8 [(P_e P_mu P_tau)^2 (P_mu P_tau + P_e (P_mu + P_tau)) / 3]^(1/4): its
     # factors are taken here, while rest and pairs hold their inputs; both
@@ -97,7 +100,9 @@ def _closed_form(p):
     inner = pe * rest[0]
     inner += pairs[0]
     # 1 minus the largest single-qubit eigenvalue max(P_x, P_y + P_z): the smallest
-    np.min(np.minimum(snapped, rest, out=rest), axis=0, out=ggm)
+    lows = np.minimum(snapped, rest, out=rest)
+    np.minimum(lows[0], lows[1], out=ggm)
+    np.minimum(ggm, lows[2], out=ggm)
     # average residual negativity-squared of the three one-qubit focuses,
     # 4/3 sum_x P_x (sqrt(P_x^2 + 4 P_y P_z) - P_x), with each difference as
     # 4 P_y P_z / (P_x + sqrt(...)), which does not cancel near product
@@ -382,7 +387,7 @@ def table(params, initial, le, path="closed-form"):
         # 8 p_b p_c >= 0, and an edge exceeds 1 + 1e-10 only for a row that
         # sums to more than 1 + 5e-11, where |a|^2 of unitary evolution sums
         # to 1 within about 1e-15
-        rows[4:8], rows[8:] = _closed_form(probs)
+        _closed_form(probs, out=rows[4:])
     else:
         _generic_block(amps, rows[4:])
     return rows.T.copy()

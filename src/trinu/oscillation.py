@@ -11,6 +11,7 @@ amplitude; the neutrino amplitude takes U* in place of U, which amounts to
 delta -> -delta.  At delta_cp = 0, the default, the two coincide.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -104,7 +105,9 @@ def _clip_probability_rows(rows):
         p = np.moveaxis(rows, 0, -1)
         bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
         raise ValueError(f"probability {float(p[bad][0])!r} outside [0, 1] beyond tolerance")
-    np.clip(rows, 0.0, 1.0, out=rows)
+    # the clamp np.clip makes, without its Python wrapper
+    np.maximum(rows, 0.0, out=rows)
+    np.minimum(rows, 1.0, out=rows)
     total = rows[0] + rows[1] + rows[2]
     if total.size and not (total.min() - 1.0 >= -1e-10 and total.max() - 1.0 <= 1e-10):
         bad = ~(np.abs(total - 1.0) <= 1e-10)
@@ -143,6 +146,27 @@ def _checked_le(le):
     return le
 
 
+# room for the three flavors of two parameter sets, and two more pairs
+@functools.lru_cache(maxsize=8)
+def _mixing(params, initial):
+    """What ``amplitude_array`` needs that does not depend on L/E.
+
+    Returns the index of ``initial``, the half-phase rates 1.27 (0, dm2_21,
+    dm2_31) per km/GeV, and the weights -2 U_ak U*_bk as a (3, 3) array over
+    (k, b), both read-only.  Cached per (params, initial): the frozen
+    ``OscillationParams`` hashes by value, so equal parameter sets share an
+    entry.  Equal sets also give equal bytes: -0.0 and 0.0 compare equal,
+    and their delta_cp gives the same amplitudes.
+    """
+    a = _flavor_index(initial)
+    u = build_pmns(params)
+    # half phases relative to mass state 1; only splittings are observable
+    rates = PHASE_CONST * np.array([0.0, params.dm2_21, params.dm2_31])
+    weights = -2.0 * u[a][:, None] * u.conj().T
+    rates.flags.writeable = weights.flags.writeable = False
+    return a, rates, weights
+
+
 def amplitude_array(params, initial, le):
     """Evolved flavor amplitudes a_beta = sum_k U_ak exp(-i phi_k) U*_bk.
 
@@ -150,10 +174,8 @@ def amplitude_array(params, initial, le):
     shape ``le.shape + (3,)`` over (e, mu, tau).
     """
     le = _checked_le(le)
-    a = _flavor_index(initial)
-    u = build_pmns(params)
-    # half phases relative to mass state 1; only splittings are observable
-    half = le[..., None] * (PHASE_CONST * np.array([0.0, params.dm2_21, params.dm2_31]))
+    a, rates, weights = _mixing(params, initial)
+    half = le[..., None] * rates
     sin, cos = np.sin(half), np.cos(half)
     # a_beta = delta_ab + sum_k (exp(-i phi_k) - 1) U_ak U*_bk, with
     # exp(-i phi) - 1 = -2 sin(phi/2) (sin(phi/2) + i cos(phi/2)): exactly the
@@ -162,8 +184,8 @@ def amplitude_array(params, initial, le):
     # matmul: a batched BLAS product would round rows differently from the
     # same product taken one point at a time
     factor = np.empty(half.shape, dtype=np.complex128)
-    factor.real, factor.imag = sin * sin, sin * cos
-    weights = -2.0 * u[a][:, None] * u.conj().T
+    np.multiply(sin, sin, out=factor.real)
+    np.multiply(sin, cos, out=factor.imag)
     amps = np.einsum("...k,kb->...b", factor, weights)
     amps[..., a] += 1.0
     return amps

@@ -607,7 +607,6 @@ def find_extremum(config, measure, kind, window):
                                     f"[{config.le_min}, {config.le_max}] {config.unit}")
     params = config.load_params()
     column = CSV_COLUMNS.index(measure)
-    sign = -1.0 if kind == "max" else 1.0
 
     def record(le, value, bracket, boundary=False):
         return {"kind": kind, "measure": measure, "le_km_per_GeV": le, "value": value,
@@ -616,7 +615,7 @@ def find_extremum(config, measure, kind, window):
     def best_of(grid):
         """Index of the best grid point, its L/E and its table value."""
         vals = measures.table(params, config.initial, grid, path=config.path)[:, column]
-        best = int(np.argmin(sign * vals))
+        best = int(vals.argmax() if kind == "max" else vals.argmin())
         return best, float(grid[best]), float(vals[best])
 
     grid = np.linspace(lo, hi, SCAN_POINTS)

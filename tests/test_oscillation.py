@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trinu import OscillationParams, amplitudes, build_pmns
 from trinu import oscillation
+from trinu.cli import main
 from trinu.oscillation import FLAVORS, amplitude_array, probability_array
 
 from conftest import physics_params, probability_matrix, probs_at
@@ -344,3 +345,61 @@ class TestParticle:
             forward = probability_array(antineutrino, FLAVORS[a], le)[:, b]
             backward = probability_array(neutrino, FLAVORS[b], le)[:, a]
             assert np.max(np.abs(forward - backward)) <= 1e-12
+
+
+class TestMixingCache:
+    """``amplitude_array`` takes the flavor index, the phase rates and the
+    weights from ``oscillation._mixing``, cached per (params, initial)."""
+
+    #: The defaults, a CP-violating phase and the inverted ordering.
+    PARAM_SETS = (
+        OscillationParams(),
+        OscillationParams(delta_cp=195.0),
+        OscillationParams(dm2_31=-2.382e-3, dm2_32=-2.457e-3),
+    )
+    LE = np.linspace(0.0, 40000.0, 257)
+
+    def test_interleaved_calls_match_fresh_ones_bit_for_bit(self):
+        keys = list(itertools.product(self.PARAM_SETS, FLAVORS))
+        fresh = {}
+        for key in keys:
+            oscillation._mixing.cache_clear()
+            fresh[key] = amplitude_array(*key, self.LE).tobytes()
+        oscillation._mixing.cache_clear()
+        # nine keys through an eight-entry cache, forwards, backwards and
+        # alternating, so calls hit, miss and evict
+        order = keys + keys[::-1] + keys[::2] + keys[1::2]
+        for key in order:
+            assert amplitude_array(*key, self.LE).tobytes() == fresh[key], key
+        info = oscillation._mixing.cache_info()
+        assert info.hits and info.misses > len(keys)
+
+    def test_equal_params_share_one_entry(self):
+        oscillation._mixing.cache_clear()
+        first = amplitude_array(OscillationParams(delta_cp=195.0), "mu", self.LE)
+        second = amplitude_array(OscillationParams(delta_cp=195.0), "mu", self.LE)
+        info = oscillation._mixing.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert second.tobytes() == first.tobytes()
+
+    def test_cached_constants_are_read_only(self):
+        _, rates, weights = oscillation._mixing(OscillationParams(), "e")
+        assert not rates.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("first", ["-0.0", "0.0"])
+    def test_signed_zero_phase_writes_the_same_csv_in_either_order(self, tmp_path, first):
+        # -0.0 == 0.0, so the two parameter sets share a cache entry: the
+        # one made first must serve the other with the same bytes
+        second = "0.0" if first == "-0.0" else "-0.0"
+        oscillation._mixing.cache_clear()
+        written = {}
+        for delta in (first, second):
+            pfile = tmp_path / f"params{delta}.json"
+            pfile.write_text(f'{{"delta_cp": {delta}}}')
+            out, slopes = tmp_path / f"{delta}.csv", tmp_path / f"{delta}-slopes.csv"
+            assert main(["sweep", "--preset", "muon", "--path", "both", "--points", "201",
+                         "--params", str(pfile), "--output", str(out),
+                         "--slopes", str(slopes)]) == 0
+            written[delta] = out.read_bytes() + slopes.read_bytes()
+        assert oscillation._mixing.cache_info().hits > 0
+        assert written["-0.0"] == written["0.0"]

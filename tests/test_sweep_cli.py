@@ -22,7 +22,8 @@ from trinu import (
     triangle_record,
 )
 from trinu import sweep
-from trinu.cli import _config_from_args, build_parser, load_preset, main
+from trinu import cli
+from trinu.cli import _config_from_args, build_parser, command_parser, load_preset, main
 from trinu.sweep import (
     CSV_COLUMNS,
     SLOPE_COLUMNS,
@@ -1129,6 +1130,18 @@ class TestCli:
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
+        assert command_parser("sweep") is command_parser("sweep")
+
+    @pytest.mark.parametrize("options", [
+        ["--config", ""], ["--slopes", ""], ["--config", "", "--slopes", ""],
+    ], ids=lambda options: " ".join(o or '""' for o in options))
+    def test_empty_file_option_is_an_io_error(self, tmp_path, capsys, options):
+        # an empty path names no file: it fails to open, as an empty
+        # --params or --output does, rather than reading as no option
+        out = tmp_path / "e.csv"
+        assert main(["sweep", *options, "--points", "5", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "i/o error: [Errno 2] No such file or directory: ''\n"
+        assert not out.exists()
 
     def test_triangle_unit_conversion(self, capsys):
         assert main(["triangle", "--initial", "e", "--le", "4.61",
@@ -1136,3 +1149,143 @@ class TestCli:
         rec = json.loads(capsys.readouterr().out)
         assert rec["le_km_per_GeV"] == pytest.approx(4610.0)
         assert rec["probabilities"]["p_e"] == pytest.approx(0.77, abs=0.01)
+
+
+def parsed(parse, argv, capsys):
+    """What ``parse(argv)`` gives: ("namespace", its attributes), or
+    ("exit", code, stdout, stderr) when argparse exits."""
+    try:
+        namespace = parse(argv)
+    except SystemExit as exit_:
+        out, err = capsys.readouterr()
+        return "exit", exit_.code, out, err
+    return "namespace", vars(namespace)
+
+
+_E_RANGE = ["--initial", "e", "--unit", "km/MeV", "--le-min", "0", "--le-max", "40"]
+_MU_RANGE = ["--initial", "mu", "--unit", "km/GeV", "--le-min", "10", "--le-max", "1600"]
+_FILES = ["--output", "o.csv", "--slopes", "s.csv"]
+
+#: The command lines of the CI step that compares outputs with the base.
+CI_COMMAND_LINES = [
+    *(["sweep", "--preset", preset, "--path", path, *_FILES]
+      for preset in ("electron", "muon") for path in ("closed-form", "both", "generic")),
+    *(["sweep", "--preset", preset, *path, "--points", "200000", *_FILES]
+      for preset in ("electron", "muon") for path in ([], ["--path", "generic"])),
+    ["sweep", "--preset", "muon", "--path", "both", "--points", "30000", *_FILES],
+    ["sweep", "--config", "muon-config.json", *_FILES],
+    *(["extremum", *(_E_RANGE if initial == "e" else _MU_RANGE), "--measure", measure,
+       "--kind", kind, "--window", lo, hi, "--output", "x.json"]
+      for initial, kind, lo, hi in (("e", "max", "8", "13"), ("e", "min", "14", "20"),
+                                    ("mu", "max", "250", "520"), ("mu", "min", "420", "600"))
+      for measure in measures.MEASURE_NAMES),
+    ["extremum", *_E_RANGE, "--measure", "fill", "--kind", "max", "--window", "8", "13",
+     "--path", "generic", "--output", "x.json"],
+    *(["triangle", "--initial", initial, "--le", le, "--unit", unit, "--json",
+       "--output", "t.json"]
+      for initial, le, unit in (("e", "4.61", "km/MeV"), ("e", "10.83", "km/MeV"),
+                                ("e", "0", "km/MeV"), ("mu", "262.2", "km/GeV"),
+                                ("mu", "513.4", "km/GeV"))),
+    ["sweep", "--params", "p.json", "--preset", "muon", "--path", "both", "--points", "2001",
+     *_FILES],
+    ["extremum", "--params", "p.json", *_E_RANGE, "--measure", "fill", "--kind", "max",
+     "--window", "8", "13", "--output", "x.json"],
+    ["triangle", "--params", "p.json", "--initial", "mu", "--le", "513.4", "--unit", "km/GeV",
+     "--json", "--output", "t.json"],
+]
+
+_EXTREMUM = ["extremum", "--measure", "fill", "--kind", "max", "--window", "8", "13"]
+
+#: Command lines that argparse rejects, and ones whose values -inf and
+#: -1e-3 it must pass on to trinu's checks.
+ERROR_COMMAND_LINES = [
+    ["extremum", "--kind", "max", "--window", "8", "13"],
+    ["triangle"],
+    [*_EXTREMUM, "--path", "both"],
+    ["sweep", "--scale", "cubic"],
+    ["sweep", "--points", "many"],
+    ["extremum", "--measure", "fill", "--kind", "max", "--window", "8"],
+    ["sweep", "--config", "c.json", "--preset", "muon"],
+    ["sweep", "--slopes"],
+    ["triangle", "--le", "-inf"],
+    ["sweep", "--le-min", "-1e-3", "--le-max", "-inf"],
+    ["extremum", "--measure", "fill", "--kind", "max", "--window", "-inf", "-1e-3"],
+    ["sweep", "--points", "-1e-3"],
+]
+
+#: Command lines with arguments their command does not take, and those arguments.
+UNRECOGNIZED = [
+    (["triangle", "--le", "4.61", "--bogus"], "--bogus"),
+    (["sweep", "--bogus", "x", "--points", "5"], "--bogus x"),
+    ([*_EXTREMUM, "--points", "7"], "--points 7"),
+    (["triangle", "--le", "4.61", "stray"], "stray"),
+]
+
+
+class TestCommandParser:
+    """A command line that starts with a command name is parsed by that
+    command's own parser, ``cli.command_parser``; it must read it as the
+    command's subparser of ``build_parser()`` does."""
+
+    @pytest.mark.parametrize("argv", CI_COMMAND_LINES, ids=" ".join)
+    def test_ci_command_lines_parse_alike(self, capsys, argv):
+        fast = parsed(cli.parse_args, argv, capsys)
+        assert fast[0] == "namespace"
+        assert fast == parsed(build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", ERROR_COMMAND_LINES, ids=" ".join)
+    def test_errors_and_values_parse_alike(self, capsys, argv):
+        fast = parsed(cli.parse_args, argv, capsys)
+        assert fast == parsed(build_parser().parse_args, argv, capsys)
+        if fast[0] == "exit":
+            assert fast[1] == 2
+            assert fast[3].startswith(f"usage: trinu {argv[0]} ")
+            assert f"trinu {argv[0]}: error: " in fast[3]
+        else:
+            assert any(value in ("-inf", "-1e-3") for value in argv)
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_help_is_the_same(self, capsys, name):
+        fast = parsed(cli.parse_args, [name, "--help"], capsys)
+        assert fast[:2] == ("exit", 0)
+        assert fast[2].startswith(f"usage: trinu {name} [-h] ")
+        assert fast == parsed(build_parser().parse_args, [name, "--help"], capsys)
+
+    @pytest.mark.parametrize("argv,extras", UNRECOGNIZED,
+                             ids=[" ".join(argv) for argv, _ in UNRECOGNIZED])
+    def test_unrecognized_arguments_are_the_commands_error(self, capsys, argv, extras):
+        # the one difference from the full parser: the command's parser
+        # reports them, under the command's usage
+        name = argv[0]
+        _, code, out, err = parsed(cli.parse_args, argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: trinu {name} [-h] ")
+        assert err.endswith(f"\ntrinu {name}: error: unrecognized arguments: {extras}\n")
+        _, code, out, err = parsed(build_parser().parse_args, argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\ntrinu: error: unrecognized arguments: {extras}\n")
+
+    @pytest.mark.parametrize("argv,code,stream,text", [
+        ([], 2, "err", "trinu: error: the following arguments are required: command\n"),
+        (["-h"], 0, "out", "usage: trinu [-h] {sweep,extremum,triangle} ...\n"),
+        (["bogus"], 2, "err", "trinu: error: argument command: invalid choice: 'bogus'"),
+        # "--points" is no option of trinu, so "5" is read as the command
+        (["--points", "5", "sweep"], 2, "err",
+         "trinu: error: argument command: invalid choice: '5'"),
+    ], ids=["no-command", "-h", "bogus", "option-first"])
+    def test_no_command_goes_to_the_full_parser(self, capsys, argv, code, stream, text):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+        captured = capsys.readouterr()
+        assert text in getattr(captured, stream)
+        if stream == "err":
+            assert captured.err.startswith("usage: trinu [-h] {sweep,extremum,triangle} ...\n")
+
+    def test_a_command_does_not_build_the_full_parser(self, capsys):
+        build_parser.cache_clear()
+        try:
+            assert main(["triangle", "--le", "4.61", "--json"]) == 0
+            assert build_parser.cache_info().currsize == 0
+        finally:
+            build_parser.cache_clear()
