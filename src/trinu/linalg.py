@@ -2,10 +2,12 @@
 
 Everything here operates on plain ``numpy`` arrays and broadcasts over
 leading axes, so a stack of matrices is handled in one call.  The private
-helpers of the generic route (``_partial_trace``, ``_x_spectra``) take
-entry rows instead: shape (d, d, ...), the matrix axes first and the states
-after them, so that each entry of every matrix is one contiguous row.
-``_x_spectra`` tests the X pattern its closed form relies on, and gives the
+helpers ``_partial_trace`` and ``_x_spectra`` take entry rows instead:
+shape (d, d, ...), the matrix axes first and the states after them, so that
+each entry of every matrix is one contiguous row.  ``_partial_trace`` is the
+reference that the generic route's pair reductions, formed from the state
+vectors, are tested against.  ``_x_spectra``, a step of the generic route,
+tests the X pattern its closed form relies on, and gives the
 spectra of the partial transposes only: the negativities read them, and no
 check of the route reads the spectra of the matrices themselves.  The
 three-qubit index convention is fixed once and for all: qubit A is the most
@@ -128,14 +130,13 @@ def partial_trace(rho, keep):
     return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
-def _partial_trace(rows, keep, out=None):
+def _partial_trace(rows, keep):
     """``partial_trace`` of entry rows (8, 8, ...), as entry rows (d, d, ...).
 
     No input checks.  The rows, reshaped to the qubit axes (a, b, c, a', b',
     c', ...), give each reduced entry as the sum of the diagonal slices over
     the traced qubits: two for a pair, added by one ``np.add``, four for a
-    single qubit.  ``out``, if given, is a C-contiguous (d, d, ...) array
-    that takes the result.
+    single qubit.
     """
     kept = _qubit_axes(keep)
     traced = [q for q in range(len(QUBITS)) if q not in kept]
@@ -147,8 +148,7 @@ def _partial_trace(rows, keep, out=None):
             index[q] = index[q + 3] = bit
         terms.append(t[tuple(index)])
     d = 2 ** len(kept)
-    if out is None:
-        out = np.empty((d, d) + rows.shape[2:], dtype=np.complex128)
+    out = np.empty((d, d) + rows.shape[2:], dtype=np.complex128)
     sums = out.reshape(terms[0].shape)
     np.add(terms[0], terms[1], out=sums)
     for term in terms[2:]:

@@ -2,12 +2,14 @@
 
 Every measure is available along two independent routes:
 
-* a *generic* route that works on the 8x8 density matrix through partial
+* a *generic* route that works on the three-qubit state through partial
   traces and the spectra of the one-qubit reductions and of the partial
-  transposes of the two-qubit ones, batched over stacks of states.  The
-  two-qubit reductions are X states, so all these spectra come in closed
-  form from 2x2 blocks.  It holds the matrices as entry rows, states on the
-  last axis, so each entry it reads is one contiguous row, and
+  transposes of the two-qubit ones, batched over stacks of states.  It
+  forms each two-qubit reduction Tr_x |psi><psi| from the state vector as
+  M M^dagger, without the 8x8 density matrix.  The two-qubit reductions
+  are X states, so all these spectra come in closed form from 2x2 blocks.
+  It holds the matrices as entry rows, states on the last axis, so each
+  entry it reads is one contiguous row, and
 * a *closed-form* route expressed directly in the three oscillation
   probabilities.  It works on them as component rows (p_e, p_mu, p_tau),
   so that each quantity it forms is one contiguous row of a block.
@@ -162,9 +164,12 @@ def heron_fill(edges):
 # spectra, batched over stacks of states.
 # ---------------------------------------------------------------------------
 
-#: States per batch of the generic route; bounds its working memory: 64
-#: complex density entries and 48 pair-reduction entries a state, 0.46 MB
-#: for 256 states.  It is smaller than ``sweep.SWEEP_CHUNK``: a 4096-row
+#: States per batch of the generic route; bounds its working memory: a peak
+#: of 2.3 KB a state, 0.59 MB for 256 states (``tracemalloc``).  The pair
+#: reductions hold 112 complex entries a state (M, its conjugate, the 48 of
+#: the pair block and a 16-entry product buffer), and numpy's 128 KB ufunc
+#: buffer for the broadcast products comes on top.  It is smaller than
+#: ``sweep.SWEEP_CHUNK``: a 4096-row
 #: generic table took 7.8 ms in one 4096-state batch and 5.8 ms in batches
 #: of 256.  The writer's ``sweep._BLOCK_ROWS`` (512) bounds rows of 11
 #: floats, not of 112 complex entries.  512 states measured faster here as
@@ -210,16 +215,39 @@ _SINGLE_AD = (np.array([0, 0, 16, 10, 5, 21]), np.array([5, 10, 26, 15, 15, 31])
 _SINGLE_B = (np.array([8, 4, 20]), np.array([13, 14, 30]))
 
 
+#: Basis indices of the state vector entries v[k, r, t]: for the pair
+#: reductions AB, AC and BC (k), the kept pair's basis index r and the traced
+#: qubit's bit t.  Qubit A is the most significant bit.
+_PAIR_ROWS = np.array([
+    [[0, 1], [2, 3], [4, 5], [6, 7]],  # AB: C traced
+    [[0, 2], [1, 3], [4, 6], [5, 7]],  # AC: B traced
+    [[0, 4], [1, 5], [2, 6], [3, 7]],  # BC: A traced
+])
+
+
 def _pair_traces(amps):
     """rho_AB, rho_AC and rho_BC of the states ``amps`` (m, 3), as one
-    (3, 4, 4, m) block of entry rows."""
-    # density has checked the amplitudes, and v v^dagger of them is Hermitian
-    # to rounding, so the route makes no Hermiticity check
-    # the (m, 8, 8) view that density returns, moved back onto its rows
-    rows = tristate.density(amps).transpose(1, 2, 0)
+    (3, 4, 4, m) block of entry rows.
+
+    Each is the partial trace of |psi><psi| over one qubit, M M^dagger with
+    M the state vector as a 4x2 matrix (kept pair x traced qubit): the same
+    two products v_i conj(v_j), added in the same order, as the trace of the
+    density matrix, so the block equals ``linalg._partial_trace`` of
+    ``tristate.density`` bit for bit without the 8x8 matrices.
+    """
+    # occupation_vectors checks the norms, and M M^dagger is Hermitian to
+    # rounding, so the route makes no Hermiticity check
+    m = tristate.occupation_vectors(amps)[_PAIR_ROWS]
+    conj = m.conj()
     pairs = np.empty((3, 4, 4, len(amps)), dtype=np.complex128)
-    for k, pair in enumerate(("AB", "AC", "BC")):
-        linalg._partial_trace(rows, pair, out=pairs[k])
+    # one pair at a time, so the second product's buffer is a third of the
+    # block: with block-sized products, the four batches of a 1001-state
+    # sweep in a fresh process took 328 page faults, against 16 this way
+    term = np.empty((4, 4, len(amps)), dtype=np.complex128)
+    for k in range(3):
+        np.multiply(m[k, :, None, 0], conj[k, None, :, 0], out=pairs[k])
+        np.multiply(m[k, :, None, 1], conj[k, None, :, 1], out=term)
+        pairs[k] += term
     return pairs
 
 
@@ -305,9 +333,11 @@ def generic_measures(amps):
     (n, 3) array.  Returns (ggm, three_pi, gmc, fill) as an (n, 4) array and
     the triangle edges as an (n, 3) array.  Every quantity is a contiguous
     row over the states.  The states are processed in batches of
-    ``GENERIC_CHUNK``.  Per batch: the density matrices as entry rows; their
-    three two-qubit reductions, each as sums of diagonal slices, from whose
-    entries those of the single-qubit reductions are summed; the spectra of
+    ``GENERIC_CHUNK``.  Per batch: the norm-checked state vectors
+    (``tristate.occupation_vectors``); their three two-qubit reductions as
+    entry rows, each the pure-state partial trace M M^dagger with M the
+    vector as a 4x2 matrix (kept pair x traced qubit), from whose entries
+    those of the single-qubit reductions are summed; the spectra of
     the 2x2 single-qubit reductions, and of the 2x2 blocks of the partial
     transposes of the two-qubit reductions, all by the one closed form
     ``linalg._eig2``; and two checks.  The edges must satisfy the CKW
@@ -357,24 +387,16 @@ def concurrence_fill(state):
 PATHS = ("closed-form", "generic")
 
 
-def table(params, initial, le, path="closed-form"):
-    """Probabilities, the four measures and the triangle edges over an L/E array.
+def amplitude_rows(params, initial, le):
+    """The amplitudes over an L/E array, and the rows its tables share.
 
-    ``le`` is a 1-D array of L/E values (km/GeV).  Returns a C-contiguous
-    (n, 11) array whose columns are ``CSV_COLUMNS``.  Both routes take the
-    probabilities |a|^2 of one amplitude evaluation; the closed form works
-    from them, the generic route from the amplitudes.  The probabilities are
-    validated on either route, and the generic route checks its edges
-    against the CKW identity and its reductions for the X pattern
-    (``generic_measures``).
-
-    The columns are built as the contiguous rows of one (11, n) block,
-    which is transposed once at the end: the probabilities, and on the
-    closed-form route every intermediate quantity, are computed as whole
-    rows, and the checks test whole rows with a few reductions.
+    ``le`` is a 1-D array of L/E values (km/GeV).  Returns the (n, 3)
+    amplitudes and an (11, n) block whose rows are the columns
+    ``CSV_COLUMNS``: rows 0-3 hold L/E and the probabilities |a|^2,
+    validated and clamped to [0, 1]; rows 4-10, each route's measures and
+    triangle edges, are left for ``route_table``.  Both routes take their
+    rows from this one evaluation.
     """
-    if path not in PATHS:
-        raise ValueError(f"path must be one of {PATHS}, got {path!r}")
     amps = amplitude_array(params, initial, le)
     rows = np.empty((len(CSV_COLUMNS), len(amps)))
     rows[0] = le
@@ -382,15 +404,46 @@ def table(params, initial, le, path="closed-form"):
     np.square(amps.real.T, out=probs)
     probs += np.square(amps.imag.T)
     _clip_probability_rows(probs)
+    return amps, rows
+
+
+def route_table(amps, rows, path):
+    """One route's measure table from ``amplitude_rows``'s ``amps`` and ``rows``.
+
+    Writes the route's measures and triangle edges into rows 4-10 and
+    returns the block as a C-contiguous (n, 11) table, a copy.  Rows 0-3
+    are only read, so one ``amplitude_rows`` block serves each route in
+    turn.  The closed form works from the probability rows, the generic
+    route from the amplitudes, and checks its edges against the CKW
+    identity and its reductions for the X pattern (``generic_measures``).
+    """
+    if path not in PATHS:
+        raise ValueError(f"path must be one of {PATHS}, got {path!r}")
     if path == "closed-form":
         # edges 4 p_x (p_y + p_z) need no triangle check: e_b + e_c - e_a =
         # 8 p_b p_c >= 0, and an edge exceeds 1 + 1e-10 only for a row that
         # sums to more than 1 + 5e-11, where |a|^2 of unitary evolution sums
         # to 1 within about 1e-15
-        _closed_form(probs, out=rows[4:])
+        _closed_form(rows[1:4], out=rows[4:])
     else:
         _generic_block(amps, rows[4:])
     return rows.T.copy()
+
+
+def table(params, initial, le, path="closed-form"):
+    """Probabilities, the four measures and the triangle edges over an L/E array.
+
+    ``le`` is a 1-D array of L/E values (km/GeV).  Returns a C-contiguous
+    (n, 11) array whose columns are ``CSV_COLUMNS``: ``route_table`` on
+    ``amplitude_rows``, one route's table of one amplitude evaluation.  The
+    probabilities are validated on either route.
+
+    The columns are built as the contiguous rows of one (11, n) block,
+    which is transposed once at the end: the probabilities, and on the
+    closed-form route every intermediate quantity, are computed as whole
+    rows, and the checks test whole rows with a few reductions.
+    """
+    return route_table(*amplitude_rows(params, initial, le), path)
 
 
 def report(params, initial, le, path="closed-form"):

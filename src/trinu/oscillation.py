@@ -151,9 +151,11 @@ def _checked_le(le):
 def _mixing(params, initial):
     """What ``amplitude_array`` needs that does not depend on L/E.
 
-    Returns the index of ``initial``, the half-phase rates 1.27 (0, dm2_21,
-    dm2_31) per km/GeV, and the weights -2 U_ak U*_bk as a (3, 3) array over
-    (k, b), both read-only.  Cached per (params, initial): the frozen
+    Returns the index of ``initial``, the half-phase rates 1.27 (dm2_21,
+    dm2_31) per km/GeV of mass states 2 and 3, and their weights -2 U_ak
+    U*_bk as a (2, 3) array over (k, b), both read-only.  Mass state 1 has
+    the phase 0 relative to itself, so its term is exactly 0 at every L/E
+    and is left out.  Cached per (params, initial): the frozen
     ``OscillationParams`` hashes by value, so equal parameter sets share an
     entry.  Equal sets also give equal bytes: -0.0 and 0.0 compare equal,
     and their delta_cp gives the same amplitudes.
@@ -161,8 +163,8 @@ def _mixing(params, initial):
     a = _flavor_index(initial)
     u = build_pmns(params)
     # half phases relative to mass state 1; only splittings are observable
-    rates = PHASE_CONST * np.array([0.0, params.dm2_21, params.dm2_31])
-    weights = -2.0 * u[a][:, None] * u.conj().T
+    rates = PHASE_CONST * np.array([params.dm2_21, params.dm2_31])
+    weights = -2.0 * u[a, 1:, None] * u[:, 1:].conj().T
     rates.flags.writeable = weights.flags.writeable = False
     return a, rates, weights
 
@@ -180,7 +182,8 @@ def amplitude_array(params, initial, le):
     # a_beta = delta_ab + sum_k (exp(-i phi_k) - 1) U_ak U*_bk, with
     # exp(-i phi) - 1 = -2 sin(phi/2) (sin(phi/2) + i cos(phi/2)): exactly the
     # basis state at L/E = 0, where sum_k U_ak U*_bk is not exactly delta_ab
-    # in floating point.  The -2 goes into the weights.  einsum rather than
+    # in floating point.  The -2 goes into the weights, and k runs over mass
+    # states 2 and 3, whose phases are not identically 0.  einsum rather than
     # matmul: a batched BLAS product would round rows differently from the
     # same product taken one point at a time
     factor = np.empty(half.shape, dtype=np.complex128)

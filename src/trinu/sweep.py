@@ -131,7 +131,7 @@ class SweepConfig:
 #: Rows per chunk of a sweep: each route's measure table, the summary and the
 #: sink see at most this many rows at a time, which bounds a sweep's memory.
 #: It is larger than the generic route's batch and the writer's block because
-#: each chunk pays a fixed cost in ``measures.table``, the summary fold and
+#: each chunk pays a fixed cost in its measure tables, the summary fold and
 #: the sink: with 512 rows here too, the 200k-point closed-form electron
 #: sweep went from 0.329 to 0.400 s.
 SWEEP_CHUNK = 4096
@@ -220,8 +220,10 @@ def _lap(start):
 def run_sweep(config, sink=None):
     """Evaluate the configured sweep in chunks of ``SWEEP_CHUNK`` rows, by L/E ascending.
 
-    Each chunk goes through each route's measure table and is folded into
-    the run summary, which is returned.  With a ``sink``, each chunk is then
+    Each chunk's amplitudes and probability rows are evaluated once
+    (``measures.amplitude_rows``); each route fills its measure table from
+    them (``measures.route_table``), and the tables are folded into the run
+    summary, which is returned.  With a ``sink``, each chunk is then
     handed over as ``sink(rows, window)``: ``rows`` are the chunk's emitted
     rows and ``window`` the same rows behind the last (up to) two rows
     before them, for anything that needs neighbours (the slopes).
@@ -229,25 +231,31 @@ def run_sweep(config, sink=None):
     With path "both" the closed-form values are the ones emitted and the
     run summary carries the max per-column discrepancy against the generic
     route.  ``summary["stage_s"]`` holds the seconds spent on the grid, on
-    each route's measure tables, on the summary and, with a sink, in it
-    ("write"), each summed over the chunks.
+    the amplitudes, on each route's measures, on the summary and, with a
+    sink, in it ("write"), each summed over the chunks.
     """
     config.validate()
     params = config.load_params()
     routes = [path for path in measures.PATHS if config.path in (path, "both")]
-    stages = ["grid", *routes, "summary"] + (["write"] if sink is not None else [])
+    stages = ["grid", "amplitudes", *routes, "summary"] + (["write"] if sink is not None else [])
     stage_s = dict.fromkeys(stages, 0.0)
     clock = time.perf_counter()
     le = config.grid()
     stage_s["grid"], clock = _lap(clock)
     fold = _SummaryFold(config.path == "both")
     for start in range(0, len(le), SWEEP_CHUNK):
+        amps, rows = measures.amplitude_rows(params, config.initial,
+                                             le[start:start + SWEEP_CHUNK])
+        lap, clock = _lap(clock)
+        stage_s["amplitudes"] += lap
         tables = []
         for path in routes:
-            tables.append(measures.table(params, config.initial, le[start:start + SWEEP_CHUNK],
-                                         path=path))
+            tables.append(measures.route_table(amps, rows, path))
             lap, clock = _lap(clock)
             stage_s[path] += lap
+        # the tables are copies: free the shared block before the fold and
+        # the sink allocate theirs, so it does not raise the peak memory
+        del amps, rows
         window = fold.add(*tables)
         lap, clock = _lap(clock)
         stage_s["summary"] += lap

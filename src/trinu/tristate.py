@@ -42,29 +42,45 @@ def make_state(amps):
     return TripartiteState(a_e, a_mu, a_tau)
 
 
-def density(amps):
-    """Density matrices |psi><psi| of W-class states.
+def occupation_vectors(amps):
+    """State vectors of W-class states in the three-qubit basis, checked.
 
-    ``amps`` holds amplitudes (a_e, a_mu, a_tau) on its last axis and gives
-    a (..., 8, 8) stack.  Every row must be normalized to within ``NORM_TOL``.
-
-    The matrices are built as entry rows (8, 8, ...), one contiguous row
-    v_i conj(v_j) per entry, and returned as a (..., 8, 8) view of them:
-    ``np.moveaxis(rho, (-2, -1), (0, 1))`` gives the rows back without a
-    copy.
+    ``amps`` holds amplitudes (a_e, a_mu, a_tau) on its last axis.  Returns
+    an (8, ...) array: basis index first, one contiguous row per index, with
+    the amplitudes at ``OCCUPATION_INDICES`` and exact zeros elsewhere.
+    Every state must be normalized to within ``NORM_TOL``.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape[-1:] != (3,):
         raise ValueError(
             f"expected amplitudes on a last axis of length 3, got shape {amps.shape}"
         )
-    rows = np.moveaxis(amps, -1, 0)
-    norm = np.sum(np.abs(rows) ** 2, axis=0)
-    bad = ~(np.abs(norm - 1.0) <= NORM_TOL)
-    if np.any(bad):
+    rows = [amps[..., k] for k in range(3)]
+    squares = [np.abs(row) ** 2 for row in rows]
+    norm = squares[0] + squares[1] + squares[2]
+    # the smallest and the largest norm decide; NaN fails both comparisons
+    if norm.size and not (norm.min() - 1.0 >= -NORM_TOL and norm.max() - 1.0 <= NORM_TOL):
+        bad = ~(np.abs(norm - 1.0) <= NORM_TOL)
         raise ValueError(
             f"state norm^2 is {float(norm[bad].flat[0])!r}, expected 1 within {NORM_TOL}"
         )
     v = np.zeros((8,) + amps.shape[:-1], dtype=np.complex128)
-    v[list(OCCUPATION_INDICES)] = rows
+    for index, row in zip(OCCUPATION_INDICES, rows):
+        v[index] = row
+    return v
+
+
+def density(amps):
+    """Density matrices |psi><psi| of W-class states.
+
+    ``amps`` holds amplitudes (a_e, a_mu, a_tau) on its last axis and gives
+    a (..., 8, 8) stack.  Every row must be normalized to within ``NORM_TOL``
+    (``occupation_vectors`` checks them).
+
+    The matrices are built as entry rows (8, 8, ...), one contiguous row
+    v_i conj(v_j) per entry, and returned as a (..., 8, 8) view of them:
+    ``np.moveaxis(rho, (-2, -1), (0, 1))`` gives the rows back without a
+    copy.
+    """
+    v = occupation_vectors(amps)
     return np.moveaxis(v[:, None] * v[None, :].conj(), (0, 1), (-2, -1))

@@ -162,14 +162,6 @@ class TestPartialTraceRows:
         assert red.shape == (2, 2, 40)
         assert np.allclose(red, einsum_partial_trace(rows, keep), rtol=0.0, atol=1e-14)
 
-    def test_writes_into_a_block_row(self, rng):
-        rows = self.hermitian_rows(rng, 7)
-        block = np.zeros((3, 4, 4, 7), dtype=np.complex128)
-        out = block[1]
-        assert linalg._partial_trace(rows, "AC", out=out) is out
-        assert np.array_equal(block[1], einsum_partial_trace(rows, "AC"))
-        assert not block[0].any() and not block[2].any()
-
     @pytest.mark.parametrize("keep", ["A", "BC"])
     def test_public_function_moves_the_axes(self, rng, keep):
         stack = np.stack([random_hermitian(rng, 8) for _ in range(5)])

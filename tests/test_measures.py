@@ -276,6 +276,32 @@ class TestGenericMeasures:
         for row, x in zip(rows, le):
             assert row.tolist() == list(report(params, "mu", x, path="generic").values())
 
+    # the encodings other than (4, 2, 1) put amplitudes on every basis
+    # index, so every entry of the route's index table is read
+    @pytest.mark.parametrize("states,encoding", [
+        ("random", (4, 2, 1)), ("needles", (4, 2, 1)), ("basis states", (4, 2, 1)),
+        ("random", (3, 5, 6)), ("random", (7, 0, 2)),
+    ])
+    def test_pair_traces_equal_traces_of_the_density(self, monkeypatch, rng, params, states,
+                                                     encoding):
+        """The route's M M^dagger equals the partial traces of the 8x8
+        density matrices bit for bit."""
+        monkeypatch.setattr(tristate, "OCCUPATION_INDICES", encoding)
+        if states == "random":
+            amps = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))
+            amps /= np.linalg.norm(amps, axis=1)[:, None]
+        elif states == "needles":
+            amps = np.array(NEEDLE_AMPLITUDES, dtype=np.complex128)
+        else:
+            amps = np.vstack([amplitude_array(params, flavor, np.zeros(2))
+                              for flavor in ("e", "mu", "tau")])
+            assert np.array_equal(np.abs(amps), np.eye(3).repeat(2, axis=0))
+        rows = np.moveaxis(tristate.density(amps), (-2, -1), (0, 1))
+        expected = np.stack([linalg._partial_trace(rows, pair) for pair in ("AB", "AC", "BC")])
+        got = measures._pair_traces(amps)
+        assert got.shape == (3, 4, 4, len(amps))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     # one entry off the X pattern, in each pair reduction, in one state of
     # the second chunk: at the tolerance it passes, at twice it is named
     @pytest.mark.parametrize("entry", [(0, 1), (2, 0), (3, 2)])
@@ -308,12 +334,13 @@ class TestGenericMeasures:
             traces = measures._pair_traces
             monkeypatch.setattr(measures, "_pair_traces", lambda chunk: traces(chunk)[[0, 2, 1]])
         elif fault == "unconjugated density":
+            # the route's product M M^T in place of M M^dagger: the partial
+            # traces of v v^T, the density matrix without its conjugate
             def unconjugated(amps):
-                v = np.zeros((8, len(amps)), dtype=np.complex128)
-                v[list(tristate.OCCUPATION_INDICES)] = np.asarray(amps).T
-                return np.moveaxis(v[:, None] * v[None, :], (0, 1), (-2, -1))
+                m = tristate.occupation_vectors(amps)[measures._PAIR_ROWS]
+                return m[:, :, None, 0] * m[:, None, :, 0] + m[:, :, None, 1] * m[:, None, :, 1]
 
-            monkeypatch.setattr(tristate, "density", unconjugated)
+            monkeypatch.setattr(measures, "_pair_traces", unconjugated)
         else:
             # rho_C's a from rho_AC[01, 01], where rho_AC[10, 10] belongs
             first, second = measures._SINGLE_AD

@@ -487,7 +487,7 @@ class TestRunSweep:
     ])
     def test_summary_times_each_stage(self, path, routes):
         stage_s = run_sweep(small_config(path=path))["stage_s"]
-        assert list(stage_s) == ["grid", *routes, "summary"]
+        assert list(stage_s) == ["grid", "amplitudes", *routes, "summary"]
         assert all(t >= 0.0 for t in stage_s.values())
 
     def test_muon_kink_count(self):
@@ -524,16 +524,16 @@ def sweep_outputs(tmp_path, capsys, argv):
 
 
 def route_tables(monkeypatch, config):
-    """The run summary and each route's table of a sweep, joined from its table calls."""
+    """The run summary and each route's table of a sweep, joined from its route calls."""
     chunks = {path: [] for path in measures.PATHS}
-    table = measures.table
+    route_table = measures.route_table
 
-    def recording_table(params, initial, le, path="closed-form"):
-        chunks[path].append(table(params, initial, le, path))
+    def recording_table(amps, rows, path):
+        chunks[path].append(route_table(amps, rows, path))
         return chunks[path][-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(measures, "table", recording_table)
+        patch.setattr(measures, "route_table", recording_table)
         summary = run_sweep(config)
     return summary, {path: np.concatenate(c) for path, c in chunks.items() if c}
 
@@ -600,25 +600,46 @@ class TestStreaming:
         assert summary["gmc_kinks"] == np.sum((arg[1:] != arg[:-1]) & kept[1:] & kept[:-1])
 
     def test_cli_table_calls_stay_within_a_chunk(self, tmp_path, monkeypatch):
-        rows = []
-        table = measures.table
+        shared, routed = [], []
+        amplitude_rows, route_table = measures.amplitude_rows, measures.route_table
 
-        def counting_table(params, initial, le, *args, **kwargs):
-            rows.append(len(le))
-            return table(params, initial, le, *args, **kwargs)
+        def counting_rows(params, initial, le):
+            shared.append(len(le))
+            return amplitude_rows(params, initial, le)
 
-        monkeypatch.setattr(measures, "table", counting_table)
+        def counting_table(amps, rows, path):
+            routed.append(len(amps))
+            return route_table(amps, rows, path)
+
+        monkeypatch.setattr(measures, "amplitude_rows", counting_rows)
+        monkeypatch.setattr(measures, "route_table", counting_table)
         points = 2 * sweep.SWEEP_CHUNK + 5
         assert main(["sweep", "--preset", "electron", "--path", "both",
                      "--points", str(points), "--output", str(tmp_path / "s.csv"),
                      "--slopes", str(tmp_path / "slopes.csv")]) == 0
-        assert max(rows) <= sweep.SWEEP_CHUNK
-        assert sum(rows) == 2 * points
+        assert max(shared) <= sweep.SWEEP_CHUNK and max(routed) <= sweep.SWEEP_CHUNK
+        assert sum(shared) == points
+        assert sum(routed) == 2 * points
+
+    @pytest.mark.parametrize("path", sweep.PATHS)
+    def test_a_chunk_evaluates_its_amplitudes_once(self, monkeypatch, path):
+        calls = []
+        amplitude_array = measures.amplitude_array
+
+        def counting_amplitudes(params, initial, le):
+            calls.append(len(le))
+            return amplitude_array(params, initial, le)
+
+        monkeypatch.setattr(measures, "amplitude_array", counting_amplitudes)
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", 16)
+        run_sweep(small_config(points=41, path=path))
+        assert calls == [16, 16, 9]
 
     def test_streamed_result_holds_no_table(self):
         summary = run_sweep(small_config(), sink=lambda rows, window: None)
         assert not any(isinstance(value, np.ndarray) for value in summary.values())
-        assert list(summary["stage_s"]) == ["grid", "closed-form", "summary", "write"]
+        assert list(summary["stage_s"]) == ["grid", "amplitudes", "closed-form", "summary",
+                                            "write"]
 
     def test_sink_windows_carry_two_rows(self, monkeypatch, params):
         whole = measures.table(params, "e", small_config(points=11).grid())
@@ -632,15 +653,15 @@ class TestStreaming:
 
     def test_failed_sweep_leaves_no_files(self, tmp_path, capsys, monkeypatch):
         calls = []
-        table = measures.table
+        amplitude_rows = measures.amplitude_rows
 
-        def failing_table(*args, **kwargs):
+        def failing_rows(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
                 raise ValueError("probability 1.5 outside [0, 1] beyond tolerance")
-            return table(*args, **kwargs)
+            return amplitude_rows(*args, **kwargs)
 
-        monkeypatch.setattr(measures, "table", failing_table)
+        monkeypatch.setattr(measures, "amplitude_rows", failing_rows)
         monkeypatch.setattr(sweep, "SWEEP_CHUNK", 16)
         csv, slopes = tmp_path / "s.csv", tmp_path / "slopes.csv"
         assert main(["sweep", "--points", "51", "--output", str(csv),
@@ -849,7 +870,7 @@ class TestCli:
         assert code == 0
         err = capsys.readouterr().err.splitlines()
         assert err[:-1] == summary_lines(run_sweep(small_config(points=51, path="both")))
-        assert re.fullmatch(r"stage times \(s\): grid \S+, closed-form \S+, "
+        assert re.fullmatch(r"stage times \(s\): grid \S+, amplitudes \S+, closed-form \S+, "
                             r"generic \S+, summary \S+, write \S+", err[-1])
 
     def test_sweep_preset_with_overrides(self, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from trinu import OscillationParams, amplitudes, density, make_state
 from trinu.linalg import partial_trace
-from trinu.tristate import OCCUPATION_INDICES
+from trinu.tristate import OCCUPATION_INDICES, occupation_vectors
 
 from conftest import w_class_states
 
@@ -73,13 +73,24 @@ class TestDensity:
             state = make_state(tuple(amps[idx]))
             assert np.array_equal(stack[idx], density(state.amplitudes()))
 
+    def test_occupation_vectors_put_the_amplitudes_on_their_basis_states(self):
+        amps = np.array([[0.6, 0.8j, 0.0], [0.0, 0.0, -1.0]])
+        v = occupation_vectors(amps)
+        assert v.shape == (8, 2)
+        assert np.array_equal(v[list(OCCUPATION_INDICES)], amps.T)
+        assert not np.delete(v, OCCUPATION_INDICES, axis=0).any()
+        rho = density(amps)
+        assert np.array_equal(rho, np.einsum("is,js->sij", v, v.conj()))
+
     def test_amplitude_stack_rejects_unnormalized_row(self):
         amps = np.array([[1.0, 0.0, 0.0], [0.6, 0.6, 0.0]])
-        with pytest.raises(ValueError, match="norm"):
-            density(amps)
+        for build in (density, occupation_vectors):
+            with pytest.raises(ValueError, match="norm"):
+                build(amps)
         amps[1] = (np.nan, 0.0, 0.0)
-        with pytest.raises(ValueError, match=r"norm\^2 is nan, "):
-            density(amps)
+        for build in (density, occupation_vectors):
+            with pytest.raises(ValueError, match=r"norm\^2 is nan, "):
+                build(amps)
 
     @settings(max_examples=100, deadline=None)
     @given(w_class_states())
