@@ -113,13 +113,39 @@ class SweepConfig:
         """Multiplier taking configured L/E values to km/GeV."""
         return 1000.0 if self.unit == "km/MeV" else 1.0
 
-    def grid(self):
-        """The L/E grid in km/GeV, ascending."""
-        if self.scale == "log":
-            g = np.geomspace(self.le_min, self.le_max, self.points)
+    def grid(self, start=0, stop=None):
+        """Rows ``[start, stop)`` of the L/E grid in km/GeV, ascending; the whole grid by default.
+
+        Each row takes the steps of ``np.linspace`` (linear) or
+        ``np.geomspace`` (log) over the whole grid, then the unit factor, so
+        any slice is bit-identical to the same slice of those: i·step + lo,
+        or i/(n-1)·delta where the step underflows to 0, with the last row
+        set to the upper bound; on a log scale 10^(i·step + log10 lo), with
+        the first and last rows set to the bounds.
+        """
+        n = self.points
+        stop = n if stop is None else min(stop, n)
+        first, last = float(self.le_min), float(self.le_max)
+        lo, hi = (np.log10(first), np.log10(last)) if self.scale == "log" else (first, last)
+        delta = hi - lo
+        step = delta / (n - 1)
+        g = np.arange(start, stop, dtype=float)
+        if step == 0:
+            g /= n - 1
+            g *= delta
         else:
-            g = np.linspace(self.le_min, self.le_max, self.points)
-        g *= self.unit_factor()  # in place: a scaled copy would double the largest array
+            g *= step
+        # a 0-d array, as np.linspace adds it: its broadcast takes numpy's
+        # ufunc buffer, whose first release raises glibc's mmap threshold
+        # before the chunk's large temporaries, as it did with np.linspace
+        g += np.asarray(lo)
+        if self.scale == "log":
+            g = 10.0 ** g
+            if start == 0 < stop:
+                g[0] = first
+        if start < stop == n:
+            g[-1] = last
+        g *= self.unit_factor()
         return g
 
     def load_params(self):
@@ -128,8 +154,9 @@ class SweepConfig:
         return OscillationParams.from_json(self.params_file)
 
 
-#: Rows per chunk of a sweep: each route's measure table, the summary and the
-#: sink see at most this many rows at a time, which bounds a sweep's memory.
+#: Rows per chunk of a sweep: the grid, each route's measure table, the
+#: summary and the sink see at most this many rows at a time, which bounds a
+#: sweep's memory whatever its number of points.
 #: It is larger than the generic route's batch and the writer's block because
 #: each chunk pays a fixed cost in its measure tables, the summary fold and
 #: the sink: with 512 rows here too, the 200k-point closed-form electron
@@ -220,13 +247,15 @@ def _lap(start):
 def run_sweep(config, sink=None):
     """Evaluate the configured sweep in chunks of ``SWEEP_CHUNK`` rows, by L/E ascending.
 
-    Each chunk's amplitudes and probability rows are evaluated once
-    (``measures.amplitude_rows``); each route fills its measure table from
-    them (``measures.route_table``), and the tables are folded into the run
-    summary, which is returned.  With a ``sink``, each chunk is then
-    handed over as ``sink(rows, window)``: ``rows`` are the chunk's emitted
-    rows and ``window`` the same rows behind the last (up to) two rows
-    before them, for anything that needs neighbours (the slopes).
+    Each chunk computes its own rows of the grid (``config.grid(start,
+    stop)``), so no array of a sweep outgrows a chunk.  Its amplitudes and
+    probability rows are evaluated once (``measures.amplitude_rows``); each
+    route fills its measure table from them (``measures.route_table``), and
+    the tables are folded into the run summary, which is returned.  With a
+    ``sink``, each chunk is then handed over as ``sink(rows, window)``:
+    ``rows`` are the chunk's emitted rows and ``window`` the same rows
+    behind the last (up to) two rows before them, for anything that needs
+    neighbours (the slopes).
 
     With path "both" the closed-form values are the ones emitted and the
     run summary carries the max per-column discrepancy against the generic
@@ -239,13 +268,13 @@ def run_sweep(config, sink=None):
     routes = [path for path in measures.PATHS if config.path in (path, "both")]
     stages = ["grid", "amplitudes", *routes, "summary"] + (["write"] if sink is not None else [])
     stage_s = dict.fromkeys(stages, 0.0)
-    clock = time.perf_counter()
-    le = config.grid()
-    stage_s["grid"], clock = _lap(clock)
     fold = _SummaryFold(config.path == "both")
-    for start in range(0, len(le), SWEEP_CHUNK):
-        amps, rows = measures.amplitude_rows(params, config.initial,
-                                             le[start:start + SWEEP_CHUNK])
+    clock = time.perf_counter()
+    for start in range(0, config.points, SWEEP_CHUNK):
+        le = config.grid(start, start + SWEEP_CHUNK)
+        lap, clock = _lap(clock)
+        stage_s["grid"] += lap
+        amps, rows = measures.amplitude_rows(params, config.initial, le)
         lap, clock = _lap(clock)
         stage_s["amplitudes"] += lap
         tables = []
@@ -253,9 +282,9 @@ def run_sweep(config, sink=None):
             tables.append(measures.route_table(amps, rows, path))
             lap, clock = _lap(clock)
             stage_s[path] += lap
-        # the tables are copies: free the shared block before the fold and
-        # the sink allocate theirs, so it does not raise the peak memory
-        del amps, rows
+        # the tables are copies: free the chunk's grid and shared block before
+        # the fold and the sink allocate theirs, so they do not raise the peak
+        del le, amps, rows
         window = fold.add(*tables)
         lap, clock = _lap(clock)
         stage_s["summary"] += lap

@@ -210,6 +210,46 @@ class TestConfig:
         assert by_preset.read_bytes() == by_config.read_bytes()
 
 
+#: Grid lengths about the chunk size, where a slice meets the first or last row.
+GRID_POINTS = (2, 3, sweep.SWEEP_CHUNK - 1, sweep.SWEEP_CHUNK, sweep.SWEEP_CHUNK + 1,
+               2 * sweep.SWEEP_CHUNK + 1, 10007)
+
+
+class TestGrid:
+    """Slices of ``SweepConfig.grid``, joined, against numpy's whole grid, bit for bit.
+
+    numpy stays the reference: a numpy whose ``linspace`` or ``geomspace``
+    changes the order of its steps fails here.
+    """
+
+    @staticmethod
+    def assert_slices_join_to_numpy(config, chunk):
+        space = np.geomspace if config.scale == "log" else np.linspace
+        expected = space(config.le_min, config.le_max, config.points) * config.unit_factor()
+        joined = np.concatenate([config.grid(start, start + chunk)
+                                 for start in range(0, config.points, chunk)])
+        assert np.array_equal(joined.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(config.grid().view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("chunk", [sweep.SWEEP_CHUNK, 1237])
+    @pytest.mark.parametrize("points", GRID_POINTS)
+    @pytest.mark.parametrize("unit", sweep.UNITS)
+    @pytest.mark.parametrize("scale,le_min,le_max", [("linear", 0.0, 40.0), ("log", 10.0, 1600.0),
+                                                     ("log", 1e-3, 1e6)])
+    def test_slices_join_to_numpy_grid(self, scale, le_min, le_max, unit, points, chunk):
+        config = small_config(scale=scale, le_min=le_min, le_max=le_max, unit=unit, points=points)
+        self.assert_slices_join_to_numpy(config, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    @pytest.mark.parametrize("unit", sweep.UNITS)
+    def test_denormal_step(self, unit, chunk):
+        # (5e-324 - 0) / 4 underflows to 0, so linspace scales i / 4 by the
+        # width instead: the grid is 0, 0, 0, 5e-324, 5e-324 in the unit
+        config = small_config(le_min=0.0, le_max=5e-324, unit=unit, points=5)
+        self.assert_slices_join_to_numpy(config, chunk)
+        assert np.count_nonzero(config.grid()) == 2
+
+
 def table_cells():
     """A value for each cell of the writer's tables, both signs.
 
@@ -634,6 +674,30 @@ class TestStreaming:
         monkeypatch.setattr(sweep, "SWEEP_CHUNK", 16)
         run_sweep(small_config(points=41, path=path))
         assert calls == [16, 16, 9]
+
+    @pytest.mark.parametrize("kw", [
+        dict(initial="e", le_min=0.0, le_max=40.0, unit="km/GeV", scale="linear"),
+        dict(initial="mu", le_min=10.0, le_max=1600.0, unit="km/GeV", scale="log"),
+    ])
+    def test_memory_does_not_grow_with_the_sweep(self, kw):
+        """The ``tracemalloc`` peak of a written sweep of 8 and of 64 chunks.
+
+        The writer's peak for a block grows with the share of its values that
+        need editing (a point inside the digits, trailing zeros), up to a
+        bound; on these ranges the 8-chunk sweep already meets it, so the
+        two peaks differ by what the sweep itself holds.
+        """
+        def traced_peak(chunks):
+            config = small_config(points=chunks * sweep.SWEEP_CHUNK, **kw)
+            with open(os.devnull, "w") as devnull:
+                tracemalloc.start()
+                try:
+                    run_sweep(config, sink=sweep.csv_sink(devnull, devnull))
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert abs(traced_peak(64) - traced_peak(8)) <= 64 * 1024
 
     def test_streamed_result_holds_no_table(self):
         summary = run_sweep(small_config(), sink=lambda rows, window: None)
