@@ -4,15 +4,14 @@ The package evaluates the oscillation probabilities of a three-flavor
 neutrino and four genuine tripartite entanglement measures (GGM, three-pi,
 GMC and concurrence fill) of the corresponding three-qubit occupation state,
 along the kinematic parameter L/E.  Every measure is computed both from
-closed-form probability expressions and from a generic density-matrix route,
-which must agree.
+closed-form probability expressions and from a generic route on the
+reductions of the state vector, which must agree.
 """
 
 from .measures import (
     concurrence_fill,
     ggm,
     gmc,
-    negativity,
     report,
     three_pi,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ggm",
     "gmc",
     "make_state",
-    "negativity",
     "report",
     "run_sweep",
     "three_pi",

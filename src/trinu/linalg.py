@@ -1,20 +1,18 @@
 """Dense complex linear algebra for matrices up to 8x8.
 
-Everything here operates on plain ``numpy`` arrays and broadcasts over
-leading axes, so a stack of matrices is handled in one call.  The private
-helpers ``_partial_trace`` and ``_x_spectra`` take entry rows instead:
-shape (d, d, ...), the matrix axes first and the states after them, so that
-each entry of every matrix is one contiguous row.  ``_partial_trace`` is the
-reference that the generic route's pair reductions, formed from the state
-vectors, are tested against.  ``_x_spectra``, a step of the generic route,
-tests the X pattern its closed form relies on, and gives the
-spectra of the partial transposes only: the negativities read them, and no
-check of the route reads the spectra of the matrices themselves.  The
-three-qubit index convention is fixed once and for all: qubit A is the most
-significant bit of the 3-bit basis index, so ``|100>`` sits at index 4.
+``check_hermitian``, ``hermitian_eigenvalues`` and ``partial_trace`` take
+plain ``numpy`` arrays and broadcast over leading axes, so a stack of
+matrices is handled in one call.  No command calls them: the tests use them
+as references, and the benchmark traces them.  The generic route uses the
+private ``_eig2`` and ``_x_spectra``, which take entry rows instead: shape
+(d, d, ...), the matrix axes first and the states after them, so that each
+entry of every matrix is one contiguous row.  ``_x_spectra`` tests the X
+pattern its closed form relies on, and gives the spectra of the partial
+transposes only: the negativities read them, and no check of the route
+reads the spectra of the matrices themselves.  The three-qubit index
+convention is fixed once and for all: qubit A is the most significant bit
+of the 3-bit basis index, so ``|100>`` sits at index 4.
 """
-
-import itertools
 
 import numpy as np
 
@@ -23,11 +21,6 @@ from ._backend import eigvalsh_small
 #: Maximum tolerated Hermiticity defect max|m - m^dagger|, and off-X entry
 #: of a matrix that ``_x_spectra`` takes as an X matrix.
 HERMITICITY_TOL = 1e-12
-
-#: Eigenvalues above this (negative) floor count as non-negative.
-PSD_TOL = 1e-10
-
-QUBITS = "ABC"
 
 
 def check_hermitian(m):
@@ -106,68 +99,33 @@ def _x_spectra(m):
     return np.stack([lo, hi], axis=1).reshape((4,) + m.shape[2:])
 
 
-def _qubit_axes(keep):
-    keep = "".join(sorted(set(keep.upper())))
-    if not keep or any(q not in QUBITS for q in keep):
-        raise ValueError(f"keep must name a subset of {QUBITS!r}, got {keep!r}")
-    if len(keep) == len(QUBITS):
-        raise ValueError("keep must be a proper subset: tracing nothing out")
-    return [QUBITS.index(q) for q in keep]
-
-
 def partial_trace(rho, keep):
     """Trace 8x8 three-qubit density matrices down to the qubits in ``keep``.
 
     ``rho`` is one 8x8 matrix or a stack of shape (..., 8, 8).  ``keep`` is
     a string naming one or two of "A", "B", "C".  Qubit A is the most
-    significant bit of the basis index.
+    significant bit of the basis index.  Each traced qubit goes, the last
+    first, as the sum of its two diagonal slices: for a pair, the order in
+    which ``measures._pair_traces`` adds v_i conj(v_j), bit for bit.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
     check_hermitian(rho)
-    rows = _partial_trace(np.moveaxis(rho, (-2, -1), (0, 1)), keep)
-    return np.moveaxis(rows, (0, 1), (-2, -1))
-
-
-def _partial_trace(rows, keep):
-    """``partial_trace`` of entry rows (8, 8, ...), as entry rows (d, d, ...).
-
-    No input checks.  The rows, reshaped to the qubit axes (a, b, c, a', b',
-    c', ...), give each reduced entry as the sum of the diagonal slices over
-    the traced qubits: two for a pair, added by one ``np.add``, four for a
-    single qubit.
-    """
-    kept = _qubit_axes(keep)
-    traced = [q for q in range(len(QUBITS)) if q not in kept]
-    t = rows.reshape((2,) * 6 + rows.shape[2:])
-    terms = []
-    for bits in itertools.product((0, 1), repeat=len(traced)):
-        index = [slice(None)] * 6
-        for q, bit in zip(traced, bits):
-            index[q] = index[q + 3] = bit
-        terms.append(t[tuple(index)])
-    d = 2 ** len(kept)
-    out = np.empty((d, d) + rows.shape[2:], dtype=np.complex128)
-    sums = out.reshape(terms[0].shape)
-    np.add(terms[0], terms[1], out=sums)
-    for term in terms[2:]:
-        sums += term
-    return out
-
-
-def partial_transpose(rho, on=0):
-    """Transpose one qubit of a two-qubit (4x4) matrix or of a (..., 4, 4) stack.
-
-    ``on`` selects the qubit: 0 for the first (most significant bit), 1 for
-    the second.  Pure index permutation, so applying it twice is bit-exact.
-    """
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if on not in (0, 1):
-        raise ValueError("on must be 0 (first qubit) or 1 (second qubit)")
-    t = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
-    t = np.swapaxes(t, -4, -2) if on == 0 else np.swapaxes(t, -3, -1)
-    # the swapped axes never merge back into a view, so this reshape copies
-    return t.reshape(rho.shape)
+    keep = "".join(sorted(set(keep.upper())))
+    if not keep or any(q not in "ABC" for q in keep):
+        raise ValueError(f"keep must name a subset of 'ABC', got {keep!r}")
+    if len(keep) == 3:
+        raise ValueError("keep must be a proper subset: tracing nothing out")
+    t, n = rho.reshape(rho.shape[:-2] + (2,) * 6), 3
+    for q in (2, 1, 0):
+        if "ABC"[q] not in keep:
+            # the last 2n axes are (ket, bra) of the n qubits left; qubit q is
+            # still the q-th, as only qubits after it have gone
+            index = [slice(None)] * (2 * n)
+            index[q] = index[n + q] = 0
+            zero = t[(Ellipsis, *index)]
+            index[q] = index[n + q] = 1
+            t = zero + t[(Ellipsis, *index)]
+            n -= 1
+    return t.reshape(rho.shape[:-2] + (2 ** n, 2 ** n))

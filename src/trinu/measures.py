@@ -160,8 +160,8 @@ def heron_fill(edges):
 
 
 # ---------------------------------------------------------------------------
-# generic route: density-matrix reductions and their closed-form X-block
-# spectra, batched over stacks of states.
+# generic route: the reductions of the state vectors and their closed-form
+# X-block spectra, batched over stacks of states.
 # ---------------------------------------------------------------------------
 
 #: States per batch of the generic route; bounds its working memory: a peak
@@ -180,30 +180,6 @@ GENERIC_CHUNK = 256
 
 #: Largest |e_x - C_xy^2 - C_xz^2| the generic route accepts.
 CKW_TOL = 1e-12
-
-
-def negativity(rho):
-    """Trace-norm deficit ||rho^T||_1 - 1 of a two-qubit partial transpose.
-
-    ``rho`` is one 4x4 density matrix, giving a float, or a (..., 4, 4)
-    stack, giving an array of shape (...).  Every matrix must be Hermitian
-    and positive semidefinite, both within the ``linalg`` tolerances; it
-    need not be an X state.  The first qubit is transposed; rho^{T_B} =
-    (rho^{T_A})^T has the same spectrum, so the choice does not change the
-    result.  This is the general version, with the spectra of ``rho`` and
-    of its partial transpose from ``linalg.hermitian_eigenvalues``: the
-    generic route takes its negativities from X-block spectra instead, and
-    is tested against this function.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    low = float(linalg.hermitian_eigenvalues(rho)[..., 0].min())
-    if not low > -linalg.PSD_TOL:
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {low:.3e} is below {-linalg.PSD_TOL:.1e}"
-        )
-    wt = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
-    n = _snap(np.asarray(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1)))
-    return float(n) if n.ndim == 0 else n
 
 
 #: Flat indices k * 16 + r * 4 + c, into the entry rows of the pair block
@@ -230,9 +206,9 @@ def _pair_traces(amps):
     (3, 4, 4, m) block of entry rows.
 
     Each is the partial trace of |psi><psi| over one qubit, M M^dagger with
-    M the state vector as a 4x2 matrix (kept pair x traced qubit): the same
-    two products v_i conj(v_j), added in the same order, as the trace of the
-    density matrix, so the block equals ``linalg._partial_trace`` of
+    M the state vector as a 4x2 matrix (kept pair x traced qubit): the two
+    products v_i conj(v_j) that the trace of the density matrix adds, in its
+    order, so the block equals ``linalg.partial_trace`` of
     ``tristate.density`` bit for bit without the 8x8 matrices.
     """
     # occupation_vectors checks the norms, and M M^dagger is Hermitian to

@@ -6,7 +6,7 @@ digits ('%.12g', lowercase scientific below 1e-4), so repeated runs with the
 same configuration are byte-identical.
 
 ``format_number`` is the rule for one value.  The table writers apply it in
-numpy, 512 rows of 11 columns at a time (0.41 MB of working memory).
+numpy, 512 rows of 11 columns at a time (at most 0.83 MB of working memory).
 Scaling |x| by one exact power of ten gives a 12-digit mantissa with a
 single rounding, which is the one ``%`` prints unless it is an exact
 half-integer.  Those values, zeros, non-finite values and decimal exponents
@@ -364,12 +364,14 @@ def format_number(x):
 # ---------------------------------------------------------------------------
 
 #: Rows per block of the 11-column CSV; a narrower table takes as many
-#: values per block, in more rows.  Formatting a block peaks at 0.41 MB
-#: (``tracemalloc``), which bounds the writer's working memory to what stays
-#: in cache.  It is not a whole ``SWEEP_CHUNK``: 4096-row blocks made the
-#: 200k-point closed-form electron sweep 25% slower.  The generic route's
-#: batch of ``measures.GENERIC_CHUNK`` states is a separate bound, on
-#: arrays of another width.
+#: values per block, in more rows.  Formatting a block, with its 135 KB text
+#: buffer, peaks at 0.41 MB (``tracemalloc``) where few values take the edit
+#: path, as on the presets, and at 0.83 MB where all do.  That bounds the
+#: writer's working memory to what stays in cache.  It is not a whole
+#: ``SWEEP_CHUNK``: 4096-row blocks made the 200k-point closed-form electron
+#: sweep 25% slower.  The generic route's batch of
+#: ``measures.GENERIC_CHUNK`` states is a separate bound, on arrays of
+#: another width.
 _BLOCK_ROWS = 512
 
 #: k = floor(log10|x|) + _K0, clipped to [0, 46], indexes the per-exponent

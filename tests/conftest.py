@@ -4,6 +4,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from trinu import OscillationParams, TripartiteState, report
+from trinu.measures import VALUE_SNAP
 from trinu.oscillation import FLAVORS
 
 # Property tests draw the same examples on every run and read or write no
@@ -25,6 +26,29 @@ def rng():
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a + a.conj().T
+
+
+def snap(x):
+    """``x`` with the values within ``VALUE_SNAP`` of zero, and the negative
+    ones, set to +0.0, as the library snaps its measures."""
+    return np.maximum(np.where(np.abs(x) < VALUE_SNAP, 0.0, x), 0.0)
+
+
+def partial_transpose(rho, on=0):
+    """Transpose qubit ``on`` (0, the most significant bit, or 1) of a 4x4
+    matrix or of a (..., 4, 4) stack: an index permutation, so exact."""
+    t = np.asarray(rho).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
+    t = np.swapaxes(t, -4, -2) if on == 0 else np.swapaxes(t, -3, -1)
+    return t.reshape(np.shape(rho))
+
+
+def reference_negativity(rho_pair):
+    """The trace-norm deficit ||rho^T||_1 - 1 of a 4x4 two-qubit density
+    matrix, from LAPACK spectra: the tests' one general negativity, against
+    which the generic route's X-block negativities are checked."""
+    assert np.linalg.eigvalsh(rho_pair)[0] > -1e-10
+    wt = np.linalg.eigvalsh(partial_transpose(rho_pair))
+    return snap(-2.0 * wt[wt < 0.0].sum())
 
 
 def probs_at(params, initial, le):

@@ -21,7 +21,6 @@ from trinu import (
     ggm,
     gmc,
     make_state,
-    negativity,
     report,
     run_sweep,
     three_pi,
@@ -32,7 +31,7 @@ from trinu.measures import MEASURE_NAMES, measures_from_probs
 from trinu.oscillation import FLAVORS
 from trinu.sweep import csv_sink
 
-from conftest import probability_matrix, probs_at
+from conftest import probability_matrix, probs_at, reference_negativity
 
 PARAMS = OscillationParams()
 
@@ -154,7 +153,7 @@ def test_criterion_7_physics_invariants():
         probs = rng.dirichlet(np.ones(3))
         state = make_state(tuple(np.sqrt(probs)))
         rho = density(state.amplitudes())
-        n_sq = {pair: negativity(linalg.partial_trace(rho, pair)) ** 2
+        n_sq = {pair: reference_negativity(linalg.partial_trace(rho, pair)) ** 2
                 for pair in ("AB", "AC", "BC")}
         edges = 4.0 * probs * (1.0 - probs)
         ok = ok and edges[0] - n_sq["AB"] - n_sq["AC"] >= -1e-10

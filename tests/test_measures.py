@@ -13,7 +13,6 @@ from trinu import (
     ggm,
     gmc,
     make_state,
-    negativity,
     report,
     three_pi,
     triangle_record,
@@ -22,7 +21,7 @@ from trinu import linalg, measures, tristate
 from trinu.measures import MEASURE_NAMES, heron_fill, measures_from_probs
 from trinu.oscillation import _clip_probability_rows, amplitude_array
 
-from conftest import w_class_states
+from conftest import partial_transpose, reference_negativity, snap, w_class_states
 
 W = make_state((1 / np.sqrt(3),) * 3)
 BASIS_E = make_state((1.0, 0.0, 0.0))
@@ -110,50 +109,24 @@ class TestNegativity:
     def test_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert negativity(rho) == 0.0
+        assert reference_negativity(rho) == 0.0
 
     def test_w_reduction(self):
         rho_ab = linalg.partial_trace(density(W.amplitudes()), "AB")
-        assert negativity(rho_ab) == pytest.approx(NEGATIVITY_W, abs=1e-12)
+        assert reference_negativity(rho_ab) == pytest.approx(NEGATIVITY_W, abs=1e-12)
 
     def test_x_block_closed_form(self):
         pe, pm, pt = 0.77, 0.115, 0.115
         state = state_from_probs((pe, pm, pt))
         rho_ab = linalg.partial_trace(density(state.amplitudes()), "AB")
         expected = math.sqrt(pt ** 2 + 4 * pe * pm) - pt
-        assert negativity(rho_ab) == pytest.approx(expected, abs=1e-12)
-        assert negativity(rho_ab) == pytest.approx(0.491156, abs=1e-6)
+        assert reference_negativity(rho_ab) == pytest.approx(expected, abs=1e-12)
+        assert reference_negativity(rho_ab) == pytest.approx(0.491156, abs=1e-6)
 
     def test_transpose_side_does_not_matter(self):
         rho_ab = linalg.partial_trace(density(W.amplitudes()), "AB")
-        w = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho_ab, 1))
-        assert negativity(rho_ab) == pytest.approx(-2.0 * w[w < 0.0].sum(), abs=1e-12)
-
-    def test_rejects_non_psd(self):
-        m = np.diag([1.5, -0.5, 0.0, 0.0])
-        with pytest.raises(ValueError, match="PSD"):
-            negativity(m)
-
-    def test_stack_matches_one_by_one(self, rng):
-        probs = rng.dirichlet(np.ones(3), size=6)
-        rhos = np.stack([
-            linalg.partial_trace(
-                density(state_from_probs(p, rng.uniform(0, 6, 3)).amplitudes()), pair)
-            for p, pair in zip(probs, ("AB", "AC", "BC", "AB", "AC", "BC"))
-        ]).reshape(2, 3, 4, 4)
-        n = negativity(rhos)
-        assert n.shape == (2, 3)
-        for idx in np.ndindex(2, 3):
-            assert n[idx] == negativity(rhos[idx])
-
-    def test_stack_rejects_one_non_psd_member(self):
-        rhos = np.stack([np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0])])
-        with pytest.raises(ValueError, match="PSD"):
-            negativity(rhos)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            negativity(np.diag([1.0, np.nan, 0.0, 0.0]))
+        w = np.linalg.eigvalsh(partial_transpose(rho_ab, 1))
+        assert reference_negativity(rho_ab) == pytest.approx(-2.0 * w[w < 0.0].sum(), abs=1e-12)
 
 
 class TestThreePi:
@@ -296,8 +269,9 @@ class TestGenericMeasures:
             amps = np.vstack([amplitude_array(params, flavor, np.zeros(2))
                               for flavor in ("e", "mu", "tau")])
             assert np.array_equal(np.abs(amps), np.eye(3).repeat(2, axis=0))
-        rows = np.moveaxis(tristate.density(amps), (-2, -1), (0, 1))
-        expected = np.stack([linalg._partial_trace(rows, pair) for pair in ("AB", "AC", "BC")])
+        rho = tristate.density(amps)
+        expected = np.stack([np.moveaxis(linalg.partial_trace(rho, pair), (-2, -1), (0, 1))
+                             for pair in ("AB", "AC", "BC")])
         got = measures._pair_traces(amps)
         assert got.shape == (3, 4, 4, len(amps))
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -411,25 +385,15 @@ NEEDLE_AMPLITUDES = (
 )
 
 
-def snap(x):
-    return np.maximum(np.where(np.abs(x) < measures.VALUE_SNAP, 0.0, x), 0.0)
-
-
-def reference_negativity(rho_pair):
-    assert np.linalg.eigvalsh(rho_pair)[0] > -linalg.PSD_TOL
-    wt = np.linalg.eigvalsh(linalg.partial_transpose(rho_pair))
-    return snap(-2.0 * wt[wt < 0.0].sum())
-
-
 def reference_row(amps):
     """(ggm, three_pi, gmc, fill) and edges of one state, one reduction at a time.
 
-    Every reduction is an ``einsum`` trace of the 8x8 density matrix.  The
-    spectra come from ``hermitian_eigenvalues`` and from direct
-    ``np.linalg.eigvalsh`` calls, not from ``negativity``, so the route's
-    closed-form X-block spectra, of the reductions for its PSD test and of
-    their partial transposes for its negativities, are checked against
-    LAPACK eigensolves they do not share.
+    Every reduction is a ``partial_trace`` of the 8x8 density matrix.  The
+    spectra come from ``hermitian_eigenvalues`` and, in
+    ``reference_negativity``, from direct ``np.linalg.eigvalsh`` calls, so
+    the route's closed-form spectra, of the single-qubit reductions for its
+    ggm and of the partial transposes of the pair reductions for its
+    negativities, are checked against LAPACK eigensolves they do not share.
     """
     rho = density(amps)
     singles = [linalg.partial_trace(rho, q) for q in "ABC"]
@@ -499,7 +463,7 @@ class TestClosedFormInvariants:
     def test_monogamy_per_focus(self, state):
         rho = density(state.amplitudes())
         n_sq = {
-            pair: negativity(linalg.partial_trace(rho, pair)) ** 2
+            pair: reference_negativity(linalg.partial_trace(rho, pair)) ** 2
             for pair in ("AB", "AC", "BC")
         }
         edge_a, edge_b, edge_c = generic_edges(state)
