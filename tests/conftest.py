@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from trinu import OscillationParams, TripartiteState, report
+from trinu import OscillationParams, TripartiteState, linalg, report
 from trinu.measures import VALUE_SNAP
 from trinu.oscillation import FLAVORS
 
@@ -42,13 +42,27 @@ def partial_transpose(rho, on=0):
     return t.reshape(np.shape(rho))
 
 
+#: Eigenvalues above this (negative) floor count as non-negative.
+PSD_TOL = 1e-10
+
+
 def reference_negativity(rho_pair):
     """The trace-norm deficit ||rho^T||_1 - 1 of a 4x4 two-qubit density
     matrix, from LAPACK spectra: the tests' one general negativity, against
-    which the generic route's X-block negativities are checked."""
-    assert np.linalg.eigvalsh(rho_pair)[0] > -1e-10
-    wt = np.linalg.eigvalsh(partial_transpose(rho_pair))
-    return snap(-2.0 * wt[wt < 0.0].sum())
+    which the generic route's X-block negativities are checked.
+
+    One matrix gives a float, a (..., 4, 4) stack an array of shape (...).
+    Raises ``ValueError`` if a matrix is not Hermitian within
+    ``linalg.HERMITICITY_TOL`` or has an eigenvalue below ``-PSD_TOL``.
+    """
+    rho = np.asarray(rho_pair, dtype=np.complex128)
+    linalg.check_hermitian(rho)
+    low = float(np.linalg.eigvalsh(rho)[..., 0].min())
+    if not low > -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {low:.3e} is below {-PSD_TOL:.1e}")
+    wt = np.linalg.eigvalsh(partial_transpose(rho))
+    n = snap(-2.0 * np.where(wt < 0.0, wt, 0.0).sum(axis=-1))
+    return float(n) if n.ndim == 0 else n
 
 
 def probs_at(params, initial, le):

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from trinu import _backend, cli, density, linalg, measures, oscillation, tristate
 
-from conftest import partial_transpose, random_hermitian, w_class_states
+from conftest import (
+    PSD_TOL,
+    partial_transpose,
+    random_hermitian,
+    reference_negativity,
+    w_class_states,
+)
 
 W = (1 / np.sqrt(3),) * 3
 
@@ -131,10 +137,110 @@ class TestPartialTrace:
         assert np.allclose(linalg.partial_trace(m, "A"), expected, atol=1e-13)
 
 
-def test_density_rows_come_back_without_a_copy():
-    amps = np.array([[1.0, 0.0, 0.0], [0.6, 0.8j, 0.0], [1 / np.sqrt(3)] * 3])
-    rows = entry_rows(density(amps))
-    assert rows.shape == (8, 8, 3) and rows.flags.c_contiguous
+def einsum_partial_trace(rows, keep):
+    """Reference partial trace of entry rows (8, 8, ...) by ``einsum``."""
+    kept = ["ABC".index(q) for q in keep]
+    ket = "abc"
+    bra = "".join(q.upper() if i in kept else q for i, q in enumerate(ket))
+    out = "".join(ket[i] for i in kept) + "".join(bra[i] for i in kept)
+    t = np.einsum(f"{ket}{bra}...->{out}...", rows.reshape((2,) * 6 + rows.shape[2:]))
+    d = 2 ** len(kept)
+    return t.reshape((d, d) + rows.shape[2:])
+
+
+class TestPartialTraceRows:
+    """``partial_trace`` of stacks, in entry rows (states on the last axis)
+    against an ``einsum`` trace of the same rows."""
+
+    @staticmethod
+    def hermitian_rows(rng, n):
+        return np.ascontiguousarray(entry_rows(np.stack([random_hermitian(rng, 8)
+                                                         for _ in range(n)])))
+
+    @staticmethod
+    def reduced_rows(rows, keep):
+        """``partial_trace`` of the matrices of ``rows``, as entry rows."""
+        return entry_rows(linalg.partial_trace(np.moveaxis(rows, (0, 1), (-2, -1)), keep))
+
+    @pytest.mark.parametrize("keep", ["AB", "AC", "BC"])
+    def test_pairs_equal_einsum_bit_for_bit(self, rng, keep):
+        rows = self.hermitian_rows(rng, 40)
+        red = self.reduced_rows(rows, keep)
+        assert red.shape == (4, 4, 40)
+        assert np.array_equal(red, einsum_partial_trace(rows, keep))
+
+    @pytest.mark.parametrize("keep", ["A", "B", "C"])
+    def test_single_qubits_match_einsum(self, rng, keep):
+        rows = self.hermitian_rows(rng, 40)
+        red = self.reduced_rows(rows, keep)
+        assert red.shape == (2, 2, 40)
+        assert np.allclose(red, einsum_partial_trace(rows, keep), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("keep", ["A", "BC"])
+    def test_public_function_moves_the_axes(self, rng, keep):
+        # the matrices of contiguous entry rows are a strided view; the
+        # result is the same as for the contiguous stack
+        stack = np.stack([random_hermitian(rng, 8) for _ in range(5)])
+        view = np.moveaxis(np.ascontiguousarray(entry_rows(stack)), (0, 1), (-2, -1))
+        assert not view.flags.c_contiguous
+        assert np.array_equal(linalg.partial_trace(view, keep), linalg.partial_trace(stack, keep))
+
+    def test_density_rows_come_back_without_a_copy(self):
+        amps = np.array([[1.0, 0.0, 0.0], [0.6, 0.8j, 0.0], [1 / np.sqrt(3)] * 3])
+        rows = entry_rows(density(amps))
+        assert rows.shape == (8, 8, 3) and rows.flags.c_contiguous
+
+
+class TestPartialTranspose:
+    """The tests' ``partial_transpose``, on which ``reference_negativity``
+    and the ``TestXSpectra`` checks rest."""
+
+    def test_diagonal_invariant(self):
+        d = np.diag([0.1, 0.2, 0.3, 0.4])
+        assert np.array_equal(partial_transpose(d), d)
+
+    def test_involution_bit_exact(self, rng):
+        m = random_hermitian(rng, 4)
+        for on in (0, 1):
+            twice = partial_transpose(partial_transpose(m, on), on)
+            assert np.array_equal(twice, m)
+
+    def test_hermitian_and_trace_preserving(self, rng):
+        m = random_hermitian(rng, 4)
+        pt = partial_transpose(m)
+        assert np.max(np.abs(pt - pt.conj().T)) <= 1e-14
+        assert abs(np.trace(pt) - np.trace(m)) <= 1e-14
+
+    def test_w_reduction_min_eigenvalue(self):
+        rho_ab = linalg.partial_trace(density(W), "AB")
+        w = linalg.hermitian_eigenvalues(partial_transpose(rho_ab))
+        # closed form for the negative eigenvalue of the X-shaped block
+        expected = (1 / 3 - np.sqrt(5) / 3) / 2
+        assert abs(w[0] - expected) <= 1e-12
+
+    def test_product_state_stays_psd(self):
+        rho = np.zeros((4, 4))
+        rho[0, 0] = 1.0
+        w = linalg.hermitian_eigenvalues(partial_transpose(rho))
+        assert w[0] >= -1e-12
+
+    @pytest.mark.parametrize("on", [0, 1])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
+    def test_result_shares_no_memory(self, rng, layout, on):
+        m = random_hermitian(rng, 8)
+        m = {"contiguous": m[:4, :4].copy(), "transposed": m[:4, :4].T,
+             "sliced": m[::2, 1::2]}[layout]
+        pt = partial_transpose(m, on)
+        assert not np.shares_memory(pt, m)
+        assert np.array_equal(partial_transpose(pt, on), m)
+
+    @pytest.mark.parametrize("on", [0, 1])
+    def test_stack_matches_one_by_one(self, rng, on):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(6)]).reshape(3, 2, 4, 4)
+        pt = partial_transpose(stack, on)
+        assert pt.shape == stack.shape
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(pt[idx], partial_transpose(stack[idx], on))
 
 
 def random_unitary(rng, dim):
@@ -146,6 +252,46 @@ def hermitian_with_spectrum(rng, spectrum):
     u = random_unitary(rng, len(spectrum))
     m = (u * np.asarray(spectrum)) @ u.conj().T
     return 0.5 * (m + m.conj().T)
+
+
+class TestCheckPsd:
+    """``reference_negativity``'s PSD verdict."""
+
+    # smallest eigenvalue a relative 1e-3 inside or outside the floor: far
+    # beyond the ~1e-15 rounding of building and solving a unit-norm matrix
+    @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
+    def test_boundary(self, rng, factor, passes):
+        for _ in range(20):
+            lam_min = -PSD_TOL * factor
+            m = hermitian_with_spectrum(rng, [lam_min, *rng.dirichlet(np.ones(3))])
+            assert np.linalg.eigvalsh(m)[0] == pytest.approx(lam_min, rel=1e-5)
+            if passes:
+                reference_negativity(m)
+            else:
+                with pytest.raises(ValueError, match="PSD"):
+                    reference_negativity(m)
+
+    @pytest.mark.parametrize("factor,passes", [(1.0 - 1e-3, True), (1.0 + 1e-3, False)])
+    def test_boundary_inside_a_stack(self, rng, factor, passes):
+        spectra = rng.dirichlet(np.ones(4), size=(2, 3))
+        spectra[1, 2, 0] = -PSD_TOL * factor
+        stack = np.stack([hermitian_with_spectrum(rng, s) for s in spectra.reshape(-1, 4)])
+        stack = stack.reshape(2, 3, 4, 4)
+        if passes:
+            reference_negativity(stack)
+        else:
+            with pytest.raises(ValueError, match="PSD"):
+                reference_negativity(stack)
+
+    def test_reports_the_smallest_eigenvalue(self):
+        stack = np.stack([np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0]),
+                          np.diag([1.2, -0.2, 0.0, 0.0])])
+        with pytest.raises(ValueError, match=r"not PSD: min eigenvalue -5\.000e-01"):
+            reference_negativity(stack)
+
+    def test_accepts_singular_density_matrices(self):
+        reference_negativity(linalg.partial_trace(density(W), "AB"))
+        reference_negativity(np.zeros((4, 4)))
 
 
 def w_reductions(states):

@@ -128,6 +128,32 @@ class TestNegativity:
         w = np.linalg.eigvalsh(partial_transpose(rho_ab, 1))
         assert reference_negativity(rho_ab) == pytest.approx(-2.0 * w[w < 0.0].sum(), abs=1e-12)
 
+    def test_rejects_non_psd(self):
+        m = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match="PSD"):
+            reference_negativity(m)
+
+    def test_stack_matches_one_by_one(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=6)
+        rhos = np.stack([
+            linalg.partial_trace(
+                density(state_from_probs(p, rng.uniform(0, 6, 3)).amplitudes()), pair)
+            for p, pair in zip(probs, ("AB", "AC", "BC", "AB", "AC", "BC"))
+        ]).reshape(2, 3, 4, 4)
+        n = reference_negativity(rhos)
+        assert n.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert n[idx] == reference_negativity(rhos[idx])
+
+    def test_stack_rejects_one_non_psd_member(self):
+        rhos = np.stack([np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0])])
+        with pytest.raises(ValueError, match="PSD"):
+            reference_negativity(rhos)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            reference_negativity(np.diag([1.0, np.nan, 0.0, 0.0]))
+
 
 class TestThreePi:
     def test_w_state(self):
